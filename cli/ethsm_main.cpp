@@ -1,6 +1,6 @@
 // The unified `ethsm` CLI: list/print/run experiment presets and spec files,
 // inspect and GC checkpoint directories. All logic lives in api/cli.cpp so
-// the bench wrappers and tests share it.
+// the tests drive the same code.
 
 #include "api/cli.h"
 

@@ -8,9 +8,10 @@
 // Part 2 prices the flip side: the same uncle generosity subsidises selfish
 // mining (threshold table per schedule).
 //
-//   ./uncle_economics [--checkpoint-dir DIR | --resume]
+//   ./uncle_economics [--checkpoint-dir DIR]
 
 #include <iostream>
+#include <string_view>
 
 #include "analysis/threshold.h"
 #include "sim/delay_sim.h"
@@ -48,9 +49,15 @@ double size_advantage(double delay, const rewards::RewardConfig& rewards,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --checkpoint-dir/--resume persist the multi-run sweep below, so repeated
+  // --checkpoint-dir persists the multi-run sweep below, so repeated
   // explorations reuse finished runs (support/checkpoint.h).
-  const auto cli = support::parse_sweep_cli(argc, argv);
+  support::SweepCheckpoint checkpoint;
+  if (argc == 3 && std::string_view(argv[1]) == "--checkpoint-dir") {
+    checkpoint.directory = argv[2];
+  } else if (argc != 1) {
+    std::cerr << "usage: uncle_economics [--checkpoint-dir DIR]\n";
+    return 2;
+  }
   std::cout << "== Part 1: natural forks in an honest network ==\n\n";
 
   TextTable forks({"delay (block intervals)", "stale/regular", "uncle/regular",
@@ -82,10 +89,9 @@ int main(int argc, char** argv) {
   ci_config.num_blocks = 30'000;
   ci_config.seed = 42;
   support::SweepOutcome outcome;
-  const auto many = sim::run_delay_many(ci_config, 4, cli.checkpoint, &outcome);
-  std::cout << "\n";
-  if (!support::report_sweep_progress(std::cout, cli.checkpoint, outcome)) {
-    return 0;  // sharded partial run: never print a 2-of-4-run mean as 4 runs
+  const auto many = sim::run_delay_many(ci_config, 4, checkpoint, &outcome);
+  if (checkpoint.enabled()) {
+    std::cout << "\n" << support::describe(checkpoint, outcome) << "\n";
   }
   std::cout << "\nUncle rate at delay 0.15 over 4 x 30k-block runs ("
             << support::ThreadPool::global().concurrency()

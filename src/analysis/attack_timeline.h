@@ -22,6 +22,7 @@
 #include <optional>
 
 #include "analysis/absolute_revenue.h"
+#include "support/checkpoint.h"
 
 namespace ethsm::analysis {
 
@@ -57,5 +58,13 @@ struct AttackTimeline {
     Scenario scenario, int max_lead = 80);
 
 }  // namespace ethsm::analysis
+
+namespace ethsm::support {
+
+template <>
+struct CheckpointCodec<analysis::AttackTimeline>
+    : DoublesCodec<analysis::AttackTimeline> {};
+
+}  // namespace ethsm::support
 
 #endif  // ETHSM_ANALYSIS_ATTACK_TIMELINE_H

@@ -15,6 +15,7 @@
 #include "analysis/reward_cases.h"
 #include "markov/stationary.h"
 #include "rewards/reward_schedule.h"
+#include "support/checkpoint.h"
 
 namespace ethsm::analysis {
 
@@ -85,8 +86,8 @@ struct RevenueCache {
 /// re-roots (Case 7) cut the branch back, so small gamma combined with alpha
 /// near 1/2 needs a much deeper truncation than the default. Returns a depth
 /// targeting a stationary tail below ~1e-9 (capped at 600 to bound cost; at
-/// alpha = 0.45, gamma = 0 even the paper's own depth-200 truncation carries
-/// ~1e-3 of mass -- documented in EXPERIMENTS.md).
+/// alpha = 0.45, gamma = 0 it lies beyond even the paper's own depth-200
+/// truncation -- Revenue.RecommendedMaxLeadExpandsInTheCorner pins that).
 [[nodiscard]] int recommended_max_lead(const markov::MiningParams& params);
 
 /// Paper Eq. (3): closed-form r_b^s (static reward rate of the pool).
@@ -101,5 +102,13 @@ struct RevenueCache {
                                                  double ku1);
 
 }  // namespace ethsm::analysis
+
+namespace ethsm::support {
+
+template <>
+struct CheckpointCodec<analysis::RevenueBreakdown>
+    : DoublesCodec<analysis::RevenueBreakdown> {};
+
+}  // namespace ethsm::support
 
 #endif  // ETHSM_ANALYSIS_REVENUE_H

@@ -58,21 +58,43 @@ std::uint64_t revenue_sim_fingerprint(const RevenueCurveOptions& options,
   return fp.digest();
 }
 
-}  // namespace
-
-std::vector<std::uint64_t> revenue_curve_fingerprints(
-    const RevenueCurveOptions& options) {
-  const std::vector<double> alphas =
-      options.alphas.empty() ? fig8_alpha_grid() : options.alphas;
-  std::vector<std::uint64_t> fps{revenue_markov_fingerprint(options, alphas)};
-  if (options.sim_runs > 0) {
-    fps.push_back(revenue_sim_fingerprint(options, alphas));
-  }
-  return fps;
+std::vector<double> curve_alphas(const RevenueCurveOptions& options) {
+  return options.alphas.empty() ? fig8_alpha_grid() : options.alphas;
 }
 
-std::uint64_t threshold_curve_fingerprint(
-    const ThresholdCurveOptions& options) {
+/// One Monte-Carlo job of a revenue curve: run `run` at alphas[point_index].
+struct SimJob {
+  std::size_t point_index = 0;
+  int run = 0;
+};
+
+/// The simulation sweep's jobs in index order: sim_runs runs per alpha > 0
+/// (alpha = 0 has no pool to simulate).
+std::vector<SimJob> sim_jobs(const RevenueCurveOptions& options,
+                             const std::vector<double>& alphas) {
+  std::vector<SimJob> jobs;
+  for (std::size_t i = 0; i < alphas.size(); ++i) {
+    if (alphas[i] <= 0.0) continue;
+    for (int r = 0; r < options.sim_runs; ++r) jobs.push_back({i, r});
+  }
+  return jobs;
+}
+
+}  // namespace
+
+std::vector<support::SweepKey> revenue_curve_sweeps(
+    const RevenueCurveOptions& options) {
+  const std::vector<double> alphas = curve_alphas(options);
+  std::vector<support::SweepKey> sweeps{
+      {revenue_markov_fingerprint(options, alphas), alphas.size()}};
+  if (options.sim_runs > 0) {
+    sweeps.push_back({revenue_sim_fingerprint(options, alphas),
+                      sim_jobs(options, alphas).size()});
+  }
+  return sweeps;
+}
+
+support::SweepKey threshold_curve_sweep(const ThresholdCurveOptions& options) {
   const std::vector<double> gammas =
       options.gammas.empty() ? fig10_gamma_grid() : options.gammas;
   support::Fingerprint fp;
@@ -83,13 +105,12 @@ std::uint64_t threshold_curve_fingerprint(
   fp.mix(options.threshold.tolerance);
   fp.mix(options.threshold.max_lead);
   mix_grid(fp, gammas);
-  return fp.digest();
+  return {fp.digest(), gammas.size()};
 }
 
 std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
                                         support::SweepOutcome* outcome) {
-  const std::vector<double> alphas =
-      options.alphas.empty() ? fig8_alpha_grid() : options.alphas;
+  const std::vector<double> alphas = curve_alphas(options);
 
   // Markov analysis: one independent job per alpha.
   const auto markov = support::run_checkpointed<RevenuePoint>(
@@ -133,16 +154,7 @@ std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
   // results do not depend on it (it only weighs the aggregation), so records
   // are shared across scenario changes.
   if (options.sim_runs > 0) {
-    struct SimJob {
-      std::size_t point_index = 0;
-      int run = 0;
-    };
-    std::vector<SimJob> jobs;
-    jobs.reserve(alphas.size() * static_cast<std::size_t>(options.sim_runs));
-    for (std::size_t i = 0; i < alphas.size(); ++i) {
-      if (alphas[i] <= 0.0) continue;
-      for (int r = 0; r < options.sim_runs; ++r) jobs.push_back({i, r});
-    }
+    const std::vector<SimJob> jobs = sim_jobs(options, alphas);
 
     const auto sims = support::run_checkpointed<sim::SimResult>(
         options.checkpoint, revenue_sim_fingerprint(options, alphas),
@@ -201,7 +213,8 @@ std::vector<ThresholdPoint> threshold_curve(const ThresholdCurveOptions& options
   // One job per gamma; each runs two bisections (both difficulty scenarios)
   // that share nothing across gammas.
   const auto sweep = support::run_checkpointed<ThresholdPoint>(
-      options.checkpoint, threshold_curve_fingerprint(options), gammas.size(),
+      options.checkpoint, threshold_curve_sweep(options).fingerprint,
+      gammas.size(),
       [&](std::size_t i) {
         const double gamma = gammas[i];
         ThresholdPoint point;
@@ -237,20 +250,7 @@ std::vector<ThresholdPoint> threshold_curve(const ThresholdCurveOptions& options
 
 namespace ethsm::support {
 
-namespace {
-
-void put_optional(ByteWriter& w, const std::optional<double>& v) {
-  w.boolean(v.has_value());
-  w.f64(v.value_or(0.0));
-}
-
-std::optional<double> take_optional(ByteReader& r) {
-  const bool has = r.boolean();
-  const double value = r.f64();
-  return has ? std::optional<double>(value) : std::nullopt;
-}
-
-}  // namespace
+using OptionalCodec = CheckpointCodec<std::optional<double>>;
 
 void CheckpointCodec<analysis::RevenuePoint>::encode(
     ByteWriter& w, const analysis::RevenuePoint& point) {
@@ -259,10 +259,10 @@ void CheckpointCodec<analysis::RevenuePoint>::encode(
   w.f64(point.honest_revenue);
   w.f64(point.total_revenue);
   w.f64(point.uncle_rate);
-  put_optional(w, point.pool_revenue_sim);
-  put_optional(w, point.honest_revenue_sim);
-  put_optional(w, point.pool_revenue_sim_ci);
-  put_optional(w, point.honest_revenue_sim_ci);
+  OptionalCodec::encode(w, point.pool_revenue_sim);
+  OptionalCodec::encode(w, point.honest_revenue_sim);
+  OptionalCodec::encode(w, point.pool_revenue_sim_ci);
+  OptionalCodec::encode(w, point.honest_revenue_sim_ci);
 }
 
 analysis::RevenuePoint CheckpointCodec<analysis::RevenuePoint>::decode(
@@ -273,10 +273,10 @@ analysis::RevenuePoint CheckpointCodec<analysis::RevenuePoint>::decode(
   point.honest_revenue = r.f64();
   point.total_revenue = r.f64();
   point.uncle_rate = r.f64();
-  point.pool_revenue_sim = take_optional(r);
-  point.honest_revenue_sim = take_optional(r);
-  point.pool_revenue_sim_ci = take_optional(r);
-  point.honest_revenue_sim_ci = take_optional(r);
+  point.pool_revenue_sim = OptionalCodec::decode(r);
+  point.honest_revenue_sim = OptionalCodec::decode(r);
+  point.pool_revenue_sim_ci = OptionalCodec::decode(r);
+  point.honest_revenue_sim_ci = OptionalCodec::decode(r);
   return point;
 }
 
@@ -284,8 +284,8 @@ void CheckpointCodec<analysis::ThresholdPoint>::encode(
     ByteWriter& w, const analysis::ThresholdPoint& point) {
   w.f64(point.gamma);
   w.f64(point.bitcoin);
-  put_optional(w, point.ethereum_scenario1);
-  put_optional(w, point.ethereum_scenario2);
+  OptionalCodec::encode(w, point.ethereum_scenario1);
+  OptionalCodec::encode(w, point.ethereum_scenario2);
 }
 
 analysis::ThresholdPoint CheckpointCodec<analysis::ThresholdPoint>::decode(
@@ -293,8 +293,8 @@ analysis::ThresholdPoint CheckpointCodec<analysis::ThresholdPoint>::decode(
   analysis::ThresholdPoint point;
   point.gamma = r.f64();
   point.bitcoin = r.f64();
-  point.ethereum_scenario1 = take_optional(r);
-  point.ethereum_scenario2 = take_optional(r);
+  point.ethereum_scenario1 = OptionalCodec::decode(r);
+  point.ethereum_scenario2 = OptionalCodec::decode(r);
   return point;
 }
 

@@ -1,5 +1,6 @@
-// Parameter-sweep drivers shared by the bench regenerators, the examples and
-// the integration tests. Each function computes one of the paper's series.
+// Parameter-sweep drivers shared by the experiment plans (api/runner.cpp),
+// the examples and the integration tests. Each function computes one of the
+// paper's series.
 
 #ifndef ETHSM_ANALYSIS_SWEEP_H
 #define ETHSM_ANALYSIS_SWEEP_H
@@ -82,15 +83,17 @@ struct ThresholdCurveOptions {
 [[nodiscard]] std::vector<double> fig8_alpha_grid();   ///< 0..0.45 step 0.025
 [[nodiscard]] std::vector<double> fig10_gamma_grid();  ///< 0..1 step 0.05
 
-/// Checkpoint-store fingerprints a revenue_curve run would use: the Markov
-/// sweep's, plus the simulation sweep's when sim_runs > 0. Exposed so the
-/// checkpoint GC (`ethsm checkpoint-stats --prune`) can map on-disk sweeps
-/// back to the experiments that own them without running anything.
-[[nodiscard]] std::vector<std::uint64_t> revenue_curve_fingerprints(
+/// The checkpointed sweeps a revenue_curve run issues, computed without
+/// running anything: the Markov sweep (one job per alpha), plus the
+/// simulation sweep (sim_runs jobs per alpha > 0) when sim_runs > 0. The
+/// experiment plans (api/runner.cpp) list them, which is how the checkpoint
+/// GC (`ethsm checkpoint-stats --prune`) maps on-disk sweeps back to the
+/// experiments that own them.
+[[nodiscard]] std::vector<support::SweepKey> revenue_curve_sweeps(
     const RevenueCurveOptions& options);
 
-/// Checkpoint-store fingerprint of a threshold_curve run.
-[[nodiscard]] std::uint64_t threshold_curve_fingerprint(
+/// The checkpointed sweep of a threshold_curve run (one job per gamma).
+[[nodiscard]] support::SweepKey threshold_curve_sweep(
     const ThresholdCurveOptions& options);
 
 }  // namespace ethsm::analysis

@@ -13,6 +13,7 @@
 
 #include "analysis/reward_cases.h"
 #include "markov/stationary.h"
+#include "support/checkpoint.h"
 
 namespace ethsm::analysis {
 
@@ -38,5 +39,13 @@ struct UncleDistanceDistribution {
     const markov::MiningParams& params, int max_lead = 80);
 
 }  // namespace ethsm::analysis
+
+namespace ethsm::support {
+
+template <>
+struct CheckpointCodec<analysis::UncleDistanceDistribution>
+    : DoublesCodec<analysis::UncleDistanceDistribution> {};
+
+}  // namespace ethsm::support
 
 #endif  // ETHSM_ANALYSIS_UNCLE_DISTANCE_H

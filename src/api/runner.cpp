@@ -1,7 +1,9 @@
 #include "api/runner.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "analysis/absolute_revenue.h"
 #include "analysis/attack_timeline.h"
@@ -12,6 +14,7 @@
 #include "sim/retarget_sim.h"
 #include "sim/simulator.h"
 #include "support/check.h"
+#include "support/parallel.h"
 #include "support/table.h"
 #include "support/trace.h"
 
@@ -26,82 +29,27 @@ sim::Scenario scenario_of(const ExperimentSpec& spec) {
                             : sim::Scenario::regular_and_uncle_rate_one;
 }
 
-// ------------------------------------------------ per-kind default series --
+/// Both difficulty scenarios, in the column order of every two-scenario
+/// table (s1 = regular rate one, s2 = regular + uncle rate one).
+constexpr sim::Scenario kScenarios[] = {
+    sim::Scenario::regular_rate_one,
+    sim::Scenario::regular_and_uncle_rate_one};
 
-std::vector<SeriesSpec> resolved_series(const ExperimentSpec& spec) {
-  if (!spec.series.empty()) return spec.series;
-  switch (spec.kind) {
-    case ExperimentKind::revenue: {
-      SeriesSpec s;
-      s.label = spec.rewards;
-      s.rewards = spec.rewards;
-      return {s};
-    }
-    case ExperimentKind::reward_design: {
-      SeriesSpec byz{"Ku(.) Byzantium (8-d)/8", "byzantium", "selfish"};
-      SeriesSpec flat{"Ku = 4/8 flat (proposal)", "flat:0.5", "selfish"};
-      return {byz, flat};
-    }
-    case ExperimentKind::stubborn_sim: {
-      std::vector<SeriesSpec> all;
-      for (const auto& [label, strategy] :
-           {std::pair<const char*, const char*>{"Alg.1", "selfish"},
-            {"L", "lead"},
-            {"F", "fork"},
-            {"T1", "trail:1"},
-            {"T2", "trail:2"},
-            {"L+F", "lead+fork"}}) {
-        SeriesSpec s;
-        s.label = label;
-        s.rewards = spec.rewards;
-        s.strategy = strategy;
-        all.push_back(std::move(s));
-      }
-      return all;
-    }
-    default:
-      return {};
-  }
+/// `given` unless the spec left it empty, else the kind's paper default.
+template <typename T>
+std::vector<T> or_default(const std::vector<T>& given,
+                          std::vector<T> fallback) {
+  return given.empty() ? std::move(fallback) : given;
 }
 
-std::vector<double> default_grid(const ExperimentSpec& spec) {
-  switch (spec.kind) {
-    case ExperimentKind::stubborn_sim:
-      return {0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45};
-    case ExperimentKind::timeline:
-      return {0.06, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45};
-    case ExperimentKind::uncle_distance:
-      return {0.3, 0.45};
-    case ExperimentKind::net:
-      return {0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45};
-    default:
-      return {};
-  }
-}
-
-std::vector<double> resolved_alphas(const ExperimentSpec& spec) {
-  return spec.alphas.empty() ? default_grid(spec) : spec.alphas;
-}
-
-std::vector<double> resolved_ku_values(const ExperimentSpec& spec) {
-  if (!spec.ku_values.empty()) return spec.ku_values;
-  std::vector<double> kus;
-  for (int eighths = 1; eighths <= 7; ++eighths) kus.push_back(eighths / 8.0);
-  return kus;
-}
-
-std::vector<double> resolved_delays(const ExperimentSpec& spec) {
-  if (!spec.delays.empty()) return spec.delays;
-  return {0.05, 0.10, 0.15, 0.25, 0.40};
-}
+/// The alpha grid of the stubborn and net tables.
+const std::vector<double> kAlphaGrid = {0.10, 0.15, 0.20, 0.25,
+                                        0.30, 0.35, 0.40, 0.45};
 
 // --------------------------------------------------------- option builders --
-// Shared by run() and sweep_fingerprints() so the fingerprints the GC keeps
-// are exactly the ones the runner's sweeps key their records by.
 
-analysis::RevenueCurveOptions revenue_options(
-    const ExperimentSpec& spec, const SeriesSpec& series,
-    const support::SweepCheckpoint& checkpoint) {
+analysis::RevenueCurveOptions revenue_options(const ExperimentSpec& spec,
+                                              const SeriesSpec& series) {
   analysis::RevenueCurveOptions opt;
   opt.gamma = spec.gamma;
   opt.rewards = parse_reward_spec(series.rewards);
@@ -111,20 +59,6 @@ analysis::RevenueCurveOptions revenue_options(
   opt.sim_runs = spec.sim_runs;
   opt.sim_blocks = spec.sim_blocks;
   opt.sim_seed = spec.sim_seed;
-  opt.checkpoint = checkpoint;
-  return opt;
-}
-
-analysis::ThresholdCurveOptions threshold_options(
-    const ExperimentSpec& spec, const support::SweepCheckpoint& checkpoint) {
-  analysis::ThresholdCurveOptions opt;
-  opt.rewards = parse_reward_spec(spec.rewards);
-  opt.gammas = spec.gammas;
-  opt.threshold.alpha_min = spec.alpha_min;
-  opt.threshold.alpha_max = spec.alpha_max;
-  opt.threshold.tolerance = spec.tolerance;
-  opt.threshold.max_lead = spec.threshold_max_lead;
-  opt.checkpoint = checkpoint;
   return opt;
 }
 
@@ -138,18 +72,7 @@ analysis::ThresholdOptions threshold_search_options(
   return opt;
 }
 
-sim::SimConfig uncle_distance_sim_config(const ExperimentSpec& spec,
-                                         double alpha) {
-  sim::SimConfig config;
-  config.alpha = alpha;
-  config.gamma = spec.gamma;
-  config.num_blocks = spec.sim_blocks;
-  config.seed = spec.sim_seed;
-  config.rewards = parse_reward_spec(spec.rewards);
-  return config;
-}
-
-/// Per-alpha seed chain of the stubborn bench: master + round(alpha * 1e4).
+/// Per-alpha seed chain of the stubborn table: master + round(alpha * 1e4).
 sim::SimConfig stubborn_sim_config(const ExperimentSpec& spec, double alpha) {
   sim::SimConfig config;
   config.alpha = alpha;
@@ -165,17 +88,6 @@ sim::SimConfig stubborn_sim_config(const ExperimentSpec& spec, double alpha) {
 /// run instead of tripping the drivers' runs > 0 precondition.
 int simulation_runs(const ExperimentSpec& spec) {
   return std::max(spec.sim_runs, 1);
-}
-
-sim::DelaySimConfig delay_sim_config(const ExperimentSpec& spec,
-                                     double delay) {
-  sim::DelaySimConfig config;
-  config.shares = spec.shares;
-  config.delay = delay;
-  config.num_blocks = spec.sim_blocks;
-  config.seed = spec.sim_seed;
-  config.rewards = parse_reward_spec(spec.rewards);
-  return config;
 }
 
 net::FaultSpec net_fault_spec(const ExperimentSpec& spec) {
@@ -201,20 +113,106 @@ net::NetSimConfig net_sim_config(const ExperimentSpec& spec, double alpha) {
   return config;
 }
 
-// ------------------------------------------------------------ kind runners --
+void mix_grid(support::Fingerprint& fp, const std::vector<double>& grid) {
+  fp.mix(static_cast<std::uint64_t>(grid.size()));
+  for (double x : grid) fp.mix(x);
+}
 
-void run_revenue(const ExperimentSpec& spec, const RunOptions& options,
-                 ExperimentResult& result) {
-  const auto series = resolved_series(spec);
-  support::SweepOutcome outcome;
+// ------------------------------------------------------------------ plans --
+//
+// Every kind is one plan function, plan_<kind>(spec, plan, result): it
+// declares the checkpointed sweeps the kind issues, in order, each with a
+// store fingerprint and job count that are pure functions of the spec, then
+// -- once plan.complete() -- assembles tables and notes from the
+// index-ordered results. run() executes the plan; planned_sweeps() lists it
+// without running anything. plan_of() is the one per-kind dispatch.
+
+class Plan {
+ public:
+  /// A listing plan: declarations only record their keys, and complete()
+  /// stays false, so no assembler runs.
+  Plan() = default;
+  /// An executing plan; the --max-new-jobs budget is consumed across its
+  /// sweeps in declaration order.
+  explicit Plan(const support::SweepCheckpoint& checkpoint)
+      : executing_(true), checkpoint_(checkpoint) {}
+
+  /// `jobs` independent jobs, job(i) -> Result, persisted under `fingerprint`
+  /// through CheckpointCodec<Result>; returns the results in index order
+  /// (default-constructed where a sharded or budget-cut run has none yet).
+  /// `computable = false` only loads: for jobs reading an earlier sweep that
+  /// is still incomplete.
+  template <typename Result, typename Job>
+  std::vector<Result> sweep(std::uint64_t fingerprint, std::size_t jobs,
+                            Job&& job, bool computable = true) {
+    keys_.push_back({fingerprint, jobs});
+    if (!executing_) return {};
+    support::SweepCheckpoint checkpoint = checkpoint_;
+    if (!computable) checkpoint.max_new_jobs = 0;
+    auto swept = support::run_checkpointed<Result>(
+        checkpoint, fingerprint, jobs, std::forward<Job>(job));
+    settle(swept.outcome, jobs);
+    return std::move(swept.results);
+  }
+
+  /// The sweeps `keys` of a library driver (revenue_curve, run_many, ...)
+  /// that calls run_checkpointed itself: call(checkpoint, &outcome).
+  template <typename Call>
+  auto driver(const std::vector<support::SweepKey>& keys, Call&& call) {
+    using Out = std::invoke_result_t<Call&, const support::SweepCheckpoint&,
+                                     support::SweepOutcome*>;
+    std::size_t jobs = 0;
+    for (const support::SweepKey& key : keys) jobs += key.jobs;
+    keys_.insert(keys_.end(), keys.begin(), keys.end());
+    if (!executing_) return Out{};
+    support::SweepOutcome outcome;
+    Out out = call(checkpoint_, &outcome);
+    settle(outcome, jobs);
+    return out;
+  }
+
+  /// Every sweep declared so far holds all of its results (never listing).
+  [[nodiscard]] bool complete() const noexcept {
+    return executing_ && outcome_.complete();
+  }
+  [[nodiscard]] const support::SweepOutcome& outcome() const noexcept {
+    return outcome_;
+  }
+  [[nodiscard]] const std::vector<support::SweepKey>& keys() const noexcept {
+    return keys_;
+  }
+
+ private:
+  void settle(const support::SweepOutcome& swept, std::size_t jobs) {
+    ETHSM_ENSURES(swept.jobs_total == jobs,
+                  "a sweep ran a different job count than its plan declared");
+    outcome_.merge(swept);
+    checkpoint_.max_new_jobs -=
+        std::min(swept.computed, checkpoint_.max_new_jobs);
+  }
+
+  bool executing_ = false;
+  support::SweepCheckpoint checkpoint_;
+  support::SweepOutcome outcome_;
+  std::vector<support::SweepKey> keys_;
+};
+
+void plan_revenue(const ExperimentSpec& spec, Plan& plan,
+                  ExperimentResult& result) {
+  const auto series = or_default<SeriesSpec>(
+      spec.series, {{spec.rewards, spec.rewards, "selfish"}});
   std::vector<std::vector<analysis::RevenuePoint>> curves;
   curves.reserve(series.size());
   for (const SeriesSpec& s : series) {
-    curves.push_back(analysis::revenue_curve(
-        revenue_options(spec, s, options.checkpoint), &outcome));
+    analysis::RevenueCurveOptions opt = revenue_options(spec, s);
+    curves.push_back(plan.driver(
+        analysis::revenue_curve_sweeps(opt),
+        [&](const auto& checkpoint, auto* outcome) {
+          opt.checkpoint = checkpoint;
+          return analysis::revenue_curve(opt, outcome);
+        }));
   }
-  result.outcome = outcome;
-  if (!outcome.complete()) return;
+  if (!plan.complete()) return;
 
   const bool single = series.size() == 1;
   const bool with_sim = spec.sim_runs > 0;
@@ -295,13 +293,19 @@ void run_revenue(const ExperimentSpec& spec, const RunOptions& options,
   }
 }
 
-void run_threshold(const ExperimentSpec& spec, const RunOptions& options,
-                   ExperimentResult& result) {
-  support::SweepOutcome outcome;
-  const auto curve = analysis::threshold_curve(
-      threshold_options(spec, options.checkpoint), &outcome);
-  result.outcome = outcome;
-  if (!outcome.complete()) return;
+void plan_threshold(const ExperimentSpec& spec, Plan& plan,
+                    ExperimentResult& result) {
+  analysis::ThresholdCurveOptions opt;
+  opt.rewards = parse_reward_spec(spec.rewards);
+  opt.gammas = spec.gammas;
+  opt.threshold = threshold_search_options(spec);
+  const auto curve = plan.driver(
+      {analysis::threshold_curve_sweep(opt)},
+      [&](const auto& checkpoint, auto* outcome) {
+        opt.checkpoint = checkpoint;
+        return analysis::threshold_curve(opt, outcome);
+      });
+  if (!plan.complete()) return;
 
   ResultTable table;
   table.columns = {Column::make_numeric("gamma", 2),
@@ -335,15 +339,37 @@ void run_threshold(const ExperimentSpec& spec, const RunOptions& options,
       "Landmark: Bitcoin threshold at gamma=0.5 is 0.25 (Eyal-Sirer).");
 }
 
-void run_reward_design(const ExperimentSpec& spec, ExperimentResult& result) {
-  const auto series = resolved_series(spec);
+void plan_reward_design(const ExperimentSpec& spec, Plan& plan,
+                        ExperimentResult& result) {
+  const auto series = or_default<SeriesSpec>(
+      spec.series, {{"Ku(.) Byzantium (8-d)/8", "byzantium", "selfish"},
+                    {"Ku = 4/8 flat (proposal)", "flat:0.5", "selfish"}});
+  const auto kus = or_default(
+      spec.ku_values, {0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875});
   const auto opt = threshold_search_options(spec);
+  // The headline schedules, then the flat Ku sweep.
+  std::vector<rewards::RewardConfig> configs;
+  for (const SeriesSpec& s : series) {
+    configs.push_back(parse_reward_spec(s.rewards));
+  }
+  for (double ku : kus) {
+    configs.push_back(rewards::RewardConfig::ethereum_flat(ku));
+  }
 
-  auto threshold_of = [&](const rewards::RewardConfig& config,
-                          sim::Scenario scenario) {
-    return analysis::profitability_threshold(spec.gamma, config, scenario,
-                                             opt);
-  };
+  support::Fingerprint fp;
+  fp.mix("reward_design/threshold/v1").mix(spec.gamma).mix(opt.alpha_min);
+  fp.mix(opt.alpha_max).mix(opt.tolerance).mix(opt.max_lead);
+  fp.mix(static_cast<std::uint64_t>(configs.size()));
+  for (const auto& config : configs) {
+    fp.mix(rewards::sweep_fingerprint(config));
+  }
+  // Job 2c + k: the threshold of configs[c] under kScenarios[k].
+  const auto thresholds = plan.sweep<std::optional<double>>(
+      fp.digest(), 2 * configs.size(), [&](std::size_t j) {
+        return analysis::profitability_threshold(spec.gamma, configs[j / 2],
+                                                 kScenarios[j % 2], opt);
+      });
+  if (!plan.complete()) return;
 
   ResultTable headline;
   headline.title = "Thresholds per schedule (gamma = " +
@@ -351,29 +377,22 @@ void run_reward_design(const ExperimentSpec& spec, ExperimentResult& result) {
   headline.columns = {Column::make_text("Schedule"),
                       Column::make_numeric("alpha* scenario 1", 3, "never"),
                       Column::make_numeric("alpha* scenario 2", 3, "never")};
-  for (const SeriesSpec& s : series) {
-    const auto config = parse_reward_spec(s.rewards);
-    headline.columns[0].text.push_back(s.label);
-    headline.columns[1].numbers.push_back(
-        threshold_of(config, sim::Scenario::regular_rate_one));
-    headline.columns[2].numbers.push_back(
-        threshold_of(config, sim::Scenario::regular_and_uncle_rate_one));
-  }
-  result.tables.push_back(std::move(headline));
-
   ResultTable sweep;
   sweep.title = "Designer sweep: flat Ku value vs threshold";
   sweep.columns = {Column::make_numeric("ku", 4),
                    Column::make_numeric("threshold_s1", 3, "never"),
                    Column::make_numeric("threshold_s2", 3, "never")};
-  for (double ku : resolved_ku_values(spec)) {
-    const auto config = rewards::RewardConfig::ethereum_flat(ku);
-    sweep.columns[0].numbers.push_back(ku);
-    sweep.columns[1].numbers.push_back(
-        threshold_of(config, sim::Scenario::regular_rate_one));
-    sweep.columns[2].numbers.push_back(
-        threshold_of(config, sim::Scenario::regular_and_uncle_rate_one));
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    ResultTable& table = c < series.size() ? headline : sweep;
+    if (c < series.size()) {
+      table.columns[0].text.push_back(series[c].label);
+    } else {
+      table.columns[0].numbers.push_back(kus[c - series.size()]);
+    }
+    table.columns[1].numbers.push_back(thresholds[2 * c]);
+    table.columns[2].numbers.push_back(thresholds[2 * c + 1]);
   }
+  result.tables.push_back(std::move(headline));
   result.tables.push_back(std::move(sweep));
   result.csv_table = 1;  // the historical sec6 CSV payload
   result.notes.push_back(
@@ -381,28 +400,37 @@ void run_reward_design(const ExperimentSpec& spec, ExperimentResult& result) {
       "anti-centralization incentive uncles were designed for (Sec. VI).");
 }
 
-void run_uncle_distance(const ExperimentSpec& spec, const RunOptions& options,
-                        ExperimentResult& result) {
-  const auto alphas = resolved_alphas(spec);
-  ETHSM_EXPECTS(!alphas.empty(), "uncle_distance needs at least one alpha");
+void plan_uncle_distance(const ExperimentSpec& spec, Plan& plan,
+                         ExperimentResult& result) {
+  const auto alphas = or_default(spec.alphas, {0.3, 0.45});
 
-  std::vector<analysis::UncleDistanceDistribution> analysis_side;
-  for (double alpha : alphas) {
-    analysis_side.push_back(analysis::honest_uncle_distance_distribution(
-        {alpha, spec.gamma}, spec.max_lead));
-  }
-
-  support::SweepOutcome outcome;
   std::vector<sim::MultiRunSummary> sims;
   if (spec.sim_runs > 0) {
     for (double alpha : alphas) {
-      sims.push_back(sim::run_many(uncle_distance_sim_config(spec, alpha),
-                                   spec.sim_runs, options.checkpoint,
-                                   &outcome));
+      sim::SimConfig config;
+      config.alpha = alpha;
+      config.gamma = spec.gamma;
+      config.num_blocks = spec.sim_blocks;
+      config.seed = spec.sim_seed;
+      config.rewards = parse_reward_spec(spec.rewards);
+      sims.push_back(plan.driver(
+          {{sim::run_many_fingerprint(config, spec.sim_runs),
+            static_cast<std::size_t>(spec.sim_runs)}},
+          [&](const auto& checkpoint, auto* outcome) {
+            return sim::run_many(config, spec.sim_runs, checkpoint, outcome);
+          }));
     }
   }
-  result.outcome = outcome;
-  if (!outcome.complete()) return;
+
+  support::Fingerprint fp;
+  fp.mix("uncle_distance/analysis/v1").mix(spec.gamma).mix(spec.max_lead);
+  mix_grid(fp, alphas);
+  const auto analysis_side = plan.sweep<analysis::UncleDistanceDistribution>(
+      fp.digest(), alphas.size(), [&](std::size_t i) {
+        return analysis::honest_uncle_distance_distribution(
+            {alphas[i], spec.gamma}, spec.max_lead);
+      });
+  if (!plan.complete()) return;
 
   ResultTable table;
   table.columns.push_back(Column::make_text("Referencing distance"));
@@ -449,7 +477,7 @@ void run_uncle_distance(const ExperimentSpec& spec, const RunOptions& options,
   }
 }
 
-void run_reward_table(ExperimentResult& result) {
+void plan_reward_table(ExperimentResult& result) {
   ResultTable inventory;
   inventory.title = "Table I: mining rewards in Ethereum and Bitcoin";
   inventory.columns = {
@@ -484,29 +512,40 @@ void run_reward_table(ExperimentResult& result) {
       "same horizon.");
 }
 
-void run_stubborn_sim(const ExperimentSpec& spec, const RunOptions& options,
-                      ExperimentResult& result) {
-  const auto series = resolved_series(spec);
-  const auto alphas = resolved_alphas(spec);
-  const sim::Scenario scenario = scenario_of(spec);
-
-  support::SweepOutcome outcome;
-  // revenue[a][k]: pool revenue of variant k at alphas[a].
-  std::vector<std::vector<double>> revenue(
-      alphas.size(), std::vector<double>(series.size(), 0.0));
-  for (std::size_t a = 0; a < alphas.size(); ++a) {
-    const sim::SimConfig config = stubborn_sim_config(spec, alphas[a]);
-    for (std::size_t k = 0; k < series.size(); ++k) {
-      const auto summary = sim::run_stubborn_many(
-          config, parse_strategy_spec(series[k].strategy),
-          simulation_runs(spec), options.checkpoint, &outcome);
-      if (outcome.complete()) {
-        revenue[a][k] = summary.pool_revenue(scenario).mean();
-      }
+void plan_stubborn_sim(const ExperimentSpec& spec, Plan& plan,
+                       ExperimentResult& result) {
+  std::vector<SeriesSpec> series = spec.series;
+  if (series.empty()) {
+    for (const auto& [label, strategy] :
+         {std::pair<const char*, const char*>{"Alg.1", "selfish"},
+          {"L", "lead"},
+          {"F", "fork"},
+          {"T1", "trail:1"},
+          {"T2", "trail:2"},
+          {"L+F", "lead+fork"}}) {
+      series.push_back({label, spec.rewards, strategy});
     }
   }
-  result.outcome = outcome;
-  if (!outcome.complete()) return;
+  const auto alphas = or_default(spec.alphas, kAlphaGrid);
+  const sim::Scenario scenario = scenario_of(spec);
+  const int runs = simulation_runs(spec);
+
+  // summaries[a][k]: variant k at alphas[a].
+  std::vector<std::vector<sim::MultiRunSummary>> summaries(alphas.size());
+  for (std::size_t a = 0; a < alphas.size(); ++a) {
+    const sim::SimConfig config = stubborn_sim_config(spec, alphas[a]);
+    for (const SeriesSpec& s : series) {
+      const auto strategy = parse_strategy_spec(s.strategy);
+      summaries[a].push_back(plan.driver(
+          {{sim::run_stubborn_many_fingerprint(config, strategy, runs),
+            static_cast<std::size_t>(runs)}},
+          [&](const auto& checkpoint, auto* outcome) {
+            return sim::run_stubborn_many(config, strategy, runs, checkpoint,
+                                          outcome);
+          }));
+    }
+  }
+  if (!plan.complete()) return;
 
   ResultTable table;
   table.columns.push_back(Column::make_numeric("alpha", 2));
@@ -520,9 +559,14 @@ void run_stubborn_sim(const ExperimentSpec& spec, const RunOptions& options,
     table.columns[c++].numbers.push_back(alphas[a]);
     table.columns[c++].numbers.push_back(alphas[a]);
     std::size_t best = 0;
+    double best_revenue = 0.0;
     for (std::size_t k = 0; k < series.size(); ++k) {
-      table.columns[c++].numbers.push_back(revenue[a][k]);
-      if (revenue[a][k] > revenue[a][best]) best = k;
+      const double revenue = summaries[a][k].pool_revenue(scenario).mean();
+      table.columns[c++].numbers.push_back(revenue);
+      if (k == 0 || revenue > best_revenue) {
+        best = k;
+        best_revenue = revenue;
+      }
     }
     table.columns[c].text.push_back(series[best].label);
   }
@@ -533,8 +577,25 @@ void run_stubborn_sim(const ExperimentSpec& spec, const RunOptions& options,
       "question with Ethereum's uncle and nephew rewards in play.");
 }
 
-void run_timeline(const ExperimentSpec& spec, ExperimentResult& result) {
+void plan_timeline(const ExperimentSpec& spec, Plan& plan,
+                   ExperimentResult& result) {
   const auto config = parse_reward_spec(spec.rewards);
+  const auto alphas = or_default(
+      spec.alphas, {0.06, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45});
+
+  support::Fingerprint fp;
+  fp.mix("timeline/v1").mix(spec.gamma).mix(spec.max_lead);
+  fp.mix(rewards::sweep_fingerprint(config));
+  mix_grid(fp, alphas);
+  // Job 2a + k: the timeline at alphas[a] under kScenarios[k].
+  const auto timelines = plan.sweep<analysis::AttackTimeline>(
+      fp.digest(), 2 * alphas.size(), [&](std::size_t j) {
+        return analysis::compute_attack_timeline(
+            {alphas[j / 2], spec.gamma}, config, kScenarios[j % 2],
+            spec.max_lead);
+      });
+  if (!plan.complete()) return;
+
   ResultTable table;
   table.columns = {Column::make_numeric("alpha", 2),
                    Column::make_numeric("bleed rate (s1)"),
@@ -543,23 +604,16 @@ void run_timeline(const ExperimentSpec& spec, ExperimentResult& result) {
                    Column::make_numeric("bleed rate (s2)"),
                    Column::make_numeric("gain rate (s2)"),
                    Column::make_numeric("breakeven blocks (s2)", 0, "never")};
-  for (double alpha : resolved_alphas(spec)) {
-    const auto s1 = analysis::compute_attack_timeline(
-        {alpha, spec.gamma}, config, sim::Scenario::regular_rate_one,
-        spec.max_lead);
-    const auto s2 = analysis::compute_attack_timeline(
-        {alpha, spec.gamma}, config,
-        sim::Scenario::regular_and_uncle_rate_one, spec.max_lead);
+  for (std::size_t a = 0; a < alphas.size(); ++a) {
     std::size_t c = 0;
-    table.columns[c++].numbers.push_back(alpha);
-    table.columns[c++].numbers.push_back(s1.initial_bleed_rate());
-    table.columns[c++].numbers.push_back(s1.steady_gain_rate());
-    table.columns[c++].numbers.push_back(
-        s1.breakeven_time(spec.phase1_blocks));
-    table.columns[c++].numbers.push_back(s2.initial_bleed_rate());
-    table.columns[c++].numbers.push_back(s2.steady_gain_rate());
-    table.columns[c++].numbers.push_back(
-        s2.breakeven_time(spec.phase1_blocks));
+    table.columns[c++].numbers.push_back(alphas[a]);
+    for (std::size_t k = 0; k < 2; ++k) {
+      const analysis::AttackTimeline& t = timelines[2 * a + k];
+      table.columns[c++].numbers.push_back(t.initial_bleed_rate());
+      table.columns[c++].numbers.push_back(t.steady_gain_rate());
+      table.columns[c++].numbers.push_back(
+          t.breakeven_time(spec.phase1_blocks));
+    }
   }
   result.tables.push_back(std::move(table));
   result.notes.push_back(
@@ -568,11 +622,10 @@ void run_timeline(const ExperimentSpec& spec, ExperimentResult& result) {
       "stretches the repayment period.");
 }
 
-void run_retarget(const ExperimentSpec& spec, ExperimentResult& result) {
+void plan_retarget(const ExperimentSpec& spec, Plan& plan,
+                   ExperimentResult& result) {
   const auto rewards_config = parse_reward_spec(spec.rewards);
-  for (const sim::Scenario scenario :
-       {sim::Scenario::regular_rate_one,
-        sim::Scenario::regular_and_uncle_rate_one}) {
+  auto retarget_config = [&](sim::Scenario scenario) {
     sim::RetargetConfig config;
     config.base.alpha = spec.alpha;
     config.base.gamma = spec.gamma;
@@ -583,8 +636,34 @@ void run_retarget(const ExperimentSpec& spec, ExperimentResult& result) {
     config.controller.initial_difficulty = 1.0;
     config.epoch_blocks = spec.epoch_blocks;
     config.epochs = spec.epochs;
-    const auto run = sim::run_retarget_simulation(config);
+    return config;
+  };
 
+  const std::uint64_t rewards_fp = rewards::sweep_fingerprint(rewards_config);
+  support::Fingerprint run_fp;
+  run_fp.mix("retarget/runs/v1").mix(spec.alpha).mix(spec.gamma);
+  run_fp.mix(spec.sim_seed).mix(rewards_fp).mix(spec.epoch_blocks);
+  run_fp.mix(spec.epochs);
+  // Job k: the live-retargeting run under kScenarios[k].
+  const auto runs = plan.sweep<sim::RetargetResult>(
+      run_fp.digest(), 2, [&](std::size_t k) {
+        return sim::run_retarget_simulation(retarget_config(kScenarios[k]));
+      });
+
+  support::Fingerprint static_fp;
+  static_fp.mix("retarget/static/v1").mix(spec.alpha).mix(spec.gamma);
+  static_fp.mix(rewards_fp).mix(spec.max_lead);
+  // The static analysis both runs are compared against (one solve).
+  const auto statics = plan.sweep<analysis::RevenueBreakdown>(
+      static_fp.digest(), 1, [&](std::size_t) {
+        return analysis::compute_revenue({spec.alpha, spec.gamma},
+                                         rewards_config, spec.max_lead);
+      });
+  if (!plan.complete()) return;
+
+  for (std::size_t k = 0; k < 2; ++k) {
+    const sim::Scenario scenario = kScenarios[k];
+    const sim::RetargetResult& run = runs[k];
     ResultTable table;
     table.title = to_string(scenario);
     table.columns = {Column::make_numeric("epoch", 0),
@@ -603,9 +682,7 @@ void run_retarget(const ExperimentSpec& spec, ExperimentResult& result) {
     }
     result.tables.push_back(std::move(table));
 
-    const auto r = analysis::compute_revenue({spec.alpha, spec.gamma},
-                                             rewards_config, spec.max_lead);
-    const double us = analysis::pool_absolute_revenue(r, scenario);
+    const double us = analysis::pool_absolute_revenue(statics[0], scenario);
     std::ostringstream note;
     note << "[" << to_string(scenario) << "] steady counted rate "
          << TextTable::num(run.steady_counted_rate, 4)
@@ -620,20 +697,27 @@ void run_retarget(const ExperimentSpec& spec, ExperimentResult& result) {
   }
 }
 
-void run_delay(const ExperimentSpec& spec, const RunOptions& options,
-               ExperimentResult& result) {
-  const auto delays = resolved_delays(spec);
+void plan_delay(const ExperimentSpec& spec, Plan& plan,
+                ExperimentResult& result) {
+  const auto delays = or_default(spec.delays, {0.05, 0.10, 0.15, 0.25, 0.40});
   const int runs = simulation_runs(spec);
 
-  support::SweepOutcome outcome;
   std::vector<sim::DelayMultiRunSummary> summaries;
   for (double delay : delays) {
-    summaries.push_back(sim::run_delay_many(delay_sim_config(spec, delay),
-                                            runs, options.checkpoint,
-                                            &outcome));
+    sim::DelaySimConfig config;
+    config.shares = spec.shares;
+    config.delay = delay;
+    config.num_blocks = spec.sim_blocks;
+    config.seed = spec.sim_seed;
+    config.rewards = parse_reward_spec(spec.rewards);
+    summaries.push_back(plan.driver(
+        {{sim::run_delay_many_fingerprint(config, runs),
+          static_cast<std::size_t>(runs)}},
+        [&](const auto& checkpoint, auto* outcome) {
+          return sim::run_delay_many(config, runs, checkpoint, outcome);
+        }));
   }
-  result.outcome = outcome;
-  if (!outcome.complete()) return;
+  if (!plan.complete()) return;
 
   ResultTable table;
   table.columns = {Column::make_numeric("delay (block intervals)", 2),
@@ -658,39 +742,66 @@ void run_delay(const ExperimentSpec& spec, const RunOptions& options,
       " runs per point).");
 }
 
-void run_net(const ExperimentSpec& spec, const RunOptions& options,
-             ExperimentResult& result) {
-  const auto alphas = resolved_alphas(spec);
+void plan_net(const ExperimentSpec& spec, Plan& plan,
+              ExperimentResult& result) {
+  const auto alphas = or_default(spec.alphas, kAlphaGrid);
   const int runs = simulation_runs(spec);
   const sim::Scenario scenario = scenario_of(spec);
   const auto rewards_config = parse_reward_spec(spec.rewards);
 
+  auto net_sweep = [&](const net::NetSimConfig& config) {
+    return plan.driver({{net::run_net_many_fingerprint(config, runs),
+                         static_cast<std::size_t>(runs)}},
+                       [&](const auto& checkpoint, auto* outcome) {
+                         return net::run_net_many(config, runs, checkpoint,
+                                                  outcome);
+                       });
+  };
   // With faults enabled every alpha also runs a fault-free baseline (same
   // seed, same topology), so the table can show what the faults changed; the
   // two sweeps carry distinct fingerprints and share the checkpoint safely.
   const bool faulted = net_fault_spec(spec).any();
-  support::SweepOutcome outcome;
+  support::Fingerprint markov_fp;
+  markov_fp.mix("net/markov/v1");
   std::vector<net::NetMultiRunSummary> summaries;
   std::vector<net::NetMultiRunSummary> clean;
   for (double alpha : alphas) {
-    summaries.push_back(net::run_net_many(net_sim_config(spec, alpha), runs,
-                                          options.checkpoint, &outcome));
+    const net::NetSimConfig config = net_sim_config(spec, alpha);
+    // Measured gamma is a pure function of this sweep, so its fingerprint
+    // keys the Markov columns below.
+    markov_fp.mix(net::run_net_many_fingerprint(config, runs));
+    summaries.push_back(net_sweep(config));
   }
   if (faulted) {
     for (double alpha : alphas) {
       net::NetSimConfig config = net_sim_config(spec, alpha);
       config.faults = net::FaultSpec{};
-      clean.push_back(
-          net::run_net_many(config, runs, options.checkpoint, &outcome));
+      clean.push_back(net_sweep(config));
     }
   }
-  result.outcome = outcome;
-  if (!outcome.complete()) return;
 
-  // Headline: the measured-gamma curve against the Markov model evaluated
-  // both at the measured gamma (does the aggregate theory predict the
-  // network?) and at the spec's fixed gamma (what assuming gamma would get
-  // wrong). Under faults, the clean-network baseline columns show the drift.
+  // The Markov model at the measured gamma (does the aggregate theory
+  // predict the network?) and at the spec's fixed gamma (what assuming
+  // gamma would get wrong). Job 2i + k: alphas[i] at the measured (k = 0)
+  // or the fixed (k = 1) gamma. Until every sim run is merged the measured
+  // gamma is unknown, so this sweep then only loads.
+  markov_fp.mix(spec.gamma).mix(spec.max_lead);
+  markov_fp.mix(rewards::sweep_fingerprint(rewards_config));
+  mix_grid(markov_fp, alphas);
+  const auto markov = plan.sweep<analysis::RevenueBreakdown>(
+      markov_fp.digest(), 2 * alphas.size(),
+      [&](std::size_t j) {
+        const std::size_t i = j / 2;
+        const double gamma = j % 2 == 0 ? summaries[i].gamma.mean()
+                                        : spec.gamma;
+        return analysis::compute_revenue({alphas[i], gamma}, rewards_config,
+                                         spec.max_lead);
+      },
+      plan.complete());
+  if (!plan.complete()) return;
+
+  // Headline: the measured-gamma curve against both Markov columns. Under
+  // faults, the clean-network baseline columns show the drift.
   ResultTable table;
   table.title = "Endogenous gamma on " + spec.net_topology + " / " +
                 spec.net_latency + " (" + std::to_string(spec.net_nodes) +
@@ -720,19 +831,15 @@ void run_net(const ExperimentSpec& spec, const RunOptions& options,
   for (std::size_t i = 0; i < alphas.size(); ++i) {
     const net::NetMultiRunSummary& s = summaries[i];
     const double gamma_net = s.gamma.mean();
-    const auto at_net_gamma = analysis::compute_revenue(
-        {alphas[i], gamma_net}, rewards_config, spec.max_lead);
-    const auto at_fixed_gamma = analysis::compute_revenue(
-        {alphas[i], spec.gamma}, rewards_config, spec.max_lead);
     std::size_t c = 0;
     table.columns[c++].numbers.push_back(alphas[i]);
     table.columns[c++].numbers.push_back(gamma_net);
     table.columns[c++].numbers.push_back(s.gamma.ci_halfwidth());
     table.columns[c++].numbers.push_back(s.pool_revenue(scenario).mean());
     table.columns[c++].numbers.push_back(
-        analysis::pool_absolute_revenue(at_net_gamma, scenario));
+        analysis::pool_absolute_revenue(markov[2 * i], scenario));
     table.columns[c++].numbers.push_back(
-        analysis::pool_absolute_revenue(at_fixed_gamma, scenario));
+        analysis::pool_absolute_revenue(markov[2 * i + 1], scenario));
     table.columns[c++].numbers.push_back(s.honest_revenue(scenario).mean());
     table.columns[c++].numbers.push_back(s.uncle_rate.mean());
     table.columns[c++].numbers.push_back(s.stale_rate.mean());
@@ -803,6 +910,33 @@ void run_net(const ExperimentSpec& spec, const RunOptions& options,
   }
 }
 
+void plan_of(const ExperimentSpec& spec, Plan& plan,
+             ExperimentResult& result) {
+  switch (spec.kind) {
+    case ExperimentKind::revenue:
+      return plan_revenue(spec, plan, result);
+    case ExperimentKind::threshold:
+      return plan_threshold(spec, plan, result);
+    case ExperimentKind::reward_design:
+      return plan_reward_design(spec, plan, result);
+    case ExperimentKind::uncle_distance:
+      return plan_uncle_distance(spec, plan, result);
+    case ExperimentKind::reward_table:
+      if (plan.complete()) plan_reward_table(result);
+      return;
+    case ExperimentKind::stubborn_sim:
+      return plan_stubborn_sim(spec, plan, result);
+    case ExperimentKind::timeline:
+      return plan_timeline(spec, plan, result);
+    case ExperimentKind::retarget:
+      return plan_retarget(spec, plan, result);
+    case ExperimentKind::delay:
+      return plan_delay(spec, plan, result);
+    case ExperimentKind::net:
+      return plan_net(spec, plan, result);
+  }
+}
+
 }  // namespace
 
 ExperimentResult run(const ExperimentSpec& spec, const RunOptions& options) {
@@ -812,103 +946,28 @@ ExperimentResult run(const ExperimentSpec& spec, const RunOptions& options) {
   ExperimentResult result;
   result.spec = spec;
   result.spec_fingerprint = spec_fingerprint(spec);
-  result.sweep_fingerprints = sweep_fingerprints(spec);
   result.checkpoint_enabled = options.checkpoint.enabled();
 
-  switch (spec.kind) {
-    case ExperimentKind::revenue:
-      run_revenue(spec, options, result);
-      break;
-    case ExperimentKind::threshold:
-      run_threshold(spec, options, result);
-      break;
-    case ExperimentKind::reward_design:
-      run_reward_design(spec, result);
-      break;
-    case ExperimentKind::uncle_distance:
-      run_uncle_distance(spec, options, result);
-      break;
-    case ExperimentKind::reward_table:
-      run_reward_table(result);
-      break;
-    case ExperimentKind::stubborn_sim:
-      run_stubborn_sim(spec, options, result);
-      break;
-    case ExperimentKind::timeline:
-      run_timeline(spec, result);
-      break;
-    case ExperimentKind::retarget:
-      run_retarget(spec, result);
-      break;
-    case ExperimentKind::delay:
-      run_delay(spec, options, result);
-      break;
-    case ExperimentKind::net:
-      run_net(spec, options, result);
-      break;
+  Plan plan(options.checkpoint);
+  plan_of(spec, plan, result);
+  result.outcome = plan.outcome();
+  for (const support::SweepKey& key : plan.keys()) {
+    result.sweep_fingerprints.push_back(key.fingerprint);
   }
   return result;
 }
 
+std::vector<support::SweepKey> planned_sweeps(const ExperimentSpec& spec) {
+  Plan plan;
+  ExperimentResult unused;
+  plan_of(spec, plan, unused);
+  return plan.keys();
+}
+
 std::vector<std::uint64_t> sweep_fingerprints(const ExperimentSpec& spec) {
   std::vector<std::uint64_t> fps;
-  const support::SweepCheckpoint no_checkpoint;
-  switch (spec.kind) {
-    case ExperimentKind::revenue:
-      for (const SeriesSpec& s : resolved_series(spec)) {
-        for (std::uint64_t fp : analysis::revenue_curve_fingerprints(
-                 revenue_options(spec, s, no_checkpoint))) {
-          fps.push_back(fp);
-        }
-      }
-      break;
-    case ExperimentKind::threshold:
-      fps.push_back(analysis::threshold_curve_fingerprint(
-          threshold_options(spec, no_checkpoint)));
-      break;
-    case ExperimentKind::uncle_distance:
-      if (spec.sim_runs > 0) {
-        for (double alpha : resolved_alphas(spec)) {
-          fps.push_back(sim::run_many_fingerprint(
-              uncle_distance_sim_config(spec, alpha), spec.sim_runs));
-        }
-      }
-      break;
-    case ExperimentKind::stubborn_sim:
-      for (double alpha : resolved_alphas(spec)) {
-        const sim::SimConfig config = stubborn_sim_config(spec, alpha);
-        for (const SeriesSpec& s : resolved_series(spec)) {
-          fps.push_back(sim::run_stubborn_many_fingerprint(
-              config, parse_strategy_spec(s.strategy),
-              simulation_runs(spec)));
-        }
-      }
-      break;
-    case ExperimentKind::delay:
-      for (double delay : resolved_delays(spec)) {
-        fps.push_back(sim::run_delay_many_fingerprint(
-            delay_sim_config(spec, delay), simulation_runs(spec)));
-      }
-      break;
-    case ExperimentKind::net:
-      for (double alpha : resolved_alphas(spec)) {
-        net::NetSimConfig config = net_sim_config(spec, alpha);
-        fps.push_back(
-            net::run_net_many_fingerprint(config, simulation_runs(spec)));
-        if (config.faults.any()) {
-          // Faulted runs also sweep a clean baseline (run_net); keep its
-          // records alive across checkpoint GC.
-          config.faults = net::FaultSpec{};
-          fps.push_back(
-              net::run_net_many_fingerprint(config, simulation_runs(spec)));
-        }
-      }
-      break;
-    case ExperimentKind::reward_design:
-    case ExperimentKind::reward_table:
-    case ExperimentKind::timeline:
-    case ExperimentKind::retarget:
-      break;  // no checkpoint-aware sweep behind these kinds
+  for (const support::SweepKey& key : planned_sweeps(spec)) {
+    fps.push_back(key.fingerprint);
   }
   return fps;
 }

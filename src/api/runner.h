@@ -1,9 +1,14 @@
-// run(spec): the single entry point executing any ExperimentSpec by
-// dispatching to the library's sweep drivers (analysis::revenue_curve,
-// analysis::threshold_curve, sim::run_many and friends). The bench
-// regenerators, the `ethsm` CLI and the tests all go through here; for every
-// paper preset the produced series are bitwise-identical to calling the
-// legacy drivers directly (asserted by tests/api/preset_equivalence_test).
+// run(spec): the single entry point executing any ExperimentSpec. Every
+// ExperimentKind is one plan (runner.cpp): the checkpointed sweeps it issues,
+// each with a store fingerprint and job count known before anything runs and
+// a job function persisted through its CheckpointCodec, plus an assembler
+// that builds tables and notes from the index-ordered results. Every solve
+// and simulation is such a job, so a resume or an orchestrate merge pass
+// recomputes nothing already on disk. The serve sweep locks and progress
+// reads and the `checkpoint-stats --prune` keep-set read the same plan
+// through planned_sweeps(). For every paper preset the series are
+// bitwise-identical to calling the library drivers directly (asserted by
+// tests/api/preset_equivalence_test).
 
 #ifndef ETHSM_API_RUNNER_H
 #define ETHSM_API_RUNNER_H
@@ -17,8 +22,8 @@
 namespace ethsm::api {
 
 struct RunOptions {
-  /// Resume/shard persistence threaded into every checkpoint-aware sweep the
-  /// spec touches (kinds without a sweep driver ignore it).
+  /// Resume/shard persistence threaded into every sweep of the spec's plan;
+  /// a --max-new-jobs budget is consumed across those sweeps in order.
   support::SweepCheckpoint checkpoint;
 };
 
@@ -28,9 +33,13 @@ struct RunOptions {
 [[nodiscard]] ExperimentResult run(const ExperimentSpec& spec,
                                    const RunOptions& options = {});
 
-/// The checkpoint-store fingerprints run(spec) would consult, computed
-/// without running anything. `ethsm checkpoint-stats --prune` keeps exactly
-/// the union of these over all registered presets.
+/// The sweeps run(spec) issues, in order, listed from its plan without
+/// running anything: each store fingerprint with its job count.
+[[nodiscard]] std::vector<support::SweepKey> planned_sweeps(
+    const ExperimentSpec& spec);
+
+/// The fingerprints of planned_sweeps(spec): exactly the stores a fresh
+/// run(spec) writes.
 [[nodiscard]] std::vector<std::uint64_t> sweep_fingerprints(
     const ExperimentSpec& spec);
 

@@ -40,9 +40,9 @@
 
 namespace ethsm::api {
 
-/// What a spec runs. Each kind maps onto one of the library's sweep drivers;
-/// together they cover every bench regenerator plus the delay-network
-/// substrate (see runner.cpp for the dispatch).
+/// What a spec runs. Each kind is one plan of checkpointed sweeps; together
+/// they cover every paper preset plus the delay-network substrate (see
+/// runner.cpp for the plans and their one dispatch).
 enum class ExperimentKind {
   revenue,         ///< revenue vs alpha, 1+ reward series (Fig. 8 / Fig. 9)
   threshold,       ///< profitability threshold vs gamma (Fig. 10)

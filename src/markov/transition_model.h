@@ -46,13 +46,6 @@ enum class TransitionKind : std::uint8_t {
 /// in sync with the enum).
 inline constexpr int kNumTransitionKinds = 12;
 
-struct Transition {
-  int from = -1;
-  int to = -1;
-  double rate = 0.0;
-  TransitionKind kind{};
-};
-
 /// All outgoing transitions for every state in the (truncated) space.
 /// Invariant: outgoing rates of every state sum to exactly 1 (the total block
 /// production rate after the Sec. IV-B time rescaling); at the truncation
@@ -63,8 +56,7 @@ struct Transition {
 /// range [row_offsets()[s], row_offsets()[s+1]) of the parallel column /
 /// rate / kind arrays. The power-iteration solver streams those arrays
 /// row-contiguously (structure-of-arrays: the rate sweep touches no kind
-/// bytes); the array-of-structs `transitions()` edge list is kept as the
-/// convenient view for the reward analysis and the tests.
+/// bytes); the reward analysis and the tests walk the same arrays.
 ///
 /// Two derived layouts are built alongside the CSR arrays (once per model,
 /// one counting-sort pass each):
@@ -112,13 +104,6 @@ class TransitionModel {
     std::vector<double> inv_diag;
   };
 
-  [[nodiscard]] const std::vector<Transition>& transitions() const noexcept {
-    return transitions_;
-  }
-  /// Transitions leaving state `index` (contiguous in the vector).
-  [[nodiscard]] std::pair<const Transition*, const Transition*> outgoing(
-      int index) const;
-
   /// CSR row offsets: size() + 1 entries; row s spans
   /// [row_offsets()[s], row_offsets()[s+1]) of the arrays below.
   [[nodiscard]] const std::vector<std::uint32_t>& row_offsets() const noexcept {
@@ -159,8 +144,6 @@ class TransitionModel {
   std::vector<std::int32_t> columns_;
   std::vector<double> rates_;
   std::vector<TransitionKind> kinds_;
-  // Edge-list view (same order as the CSR arrays).
-  std::vector<Transition> transitions_;
   // Derived layouts (built once in the constructor).
   KindBatched batched_;
   Incoming incoming_;

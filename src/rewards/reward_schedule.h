@@ -125,7 +125,8 @@ struct RewardConfig {
   /// Flat Ku(d) = ku_value for d <= max_distance (paper Fig. 9 / Sec. VI).
   /// The paper applies its flat rewards "regardless of the distance"; pass a
   /// large max_distance (e.g. 100) for that reading, or keep the Ethereum
-  /// structural cap of 6 (the default) -- EXPERIMENTS.md quantifies both.
+  /// structural cap of 6 (the default). GoldenFig9.LandmarkTotalsAndPoolSeries
+  /// pins both readings' totals at Ku = 7/8, alpha = 0.45 (1.3476 vs 1.2685).
   [[nodiscard]] static RewardConfig ethereum_flat(
       double ku_value, int max_distance = kMaxUncleDistance);
   [[nodiscard]] static RewardConfig bitcoin();
@@ -152,7 +153,7 @@ struct RewardTypeInfo {
   std::string purpose;
 };
 
-/// The content of the paper's Table I, for the bench_table1 regenerator.
+/// The content of the paper's Table I (the table1 preset).
 [[nodiscard]] std::vector<RewardTypeInfo> table1_reward_inventory();
 
 /// 64-bit digest of the *numeric content* of a reward configuration (every

@@ -434,15 +434,18 @@ std::optional<std::string> ExperimentService::progress_snapshot(
      << ", \"cached\": " << (cache_.contains(fingerprint) ? "true" : "false")
      << ", \"sweeps\": [";
   bool first = true;
-  for (const std::uint64_t sweep : api::sweep_fingerprints(spec)) {
+  for (const support::SweepKey& sweep : api::planned_sweeps(spec)) {
     // The read-only record scan of the store: safe against the concurrent
     // writer by the checkpoint writer/reader contract.
     const std::size_t records =
-        support::read_checkpoint_records(config_.checkpoint_dir, sweep).size();
+        support::read_checkpoint_records(config_.checkpoint_dir,
+                                         sweep.fingerprint)
+            .size();
     os << (first ? "" : ", ");
     first = false;
-    os << "{\"fingerprint\": \"" << hex64(sweep)
-       << "\", \"records\": " << records << "}";
+    os << "{\"fingerprint\": \"" << hex64(sweep.fingerprint)
+       << "\", \"records\": " << records << ", \"jobs\": " << sweep.jobs
+       << "}";
   }
   os << "]}\n";
   return os.str();

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sim/difficulty.h"
+#include "support/checkpoint.h"
 
 namespace ethsm::sim {
 
@@ -64,5 +65,43 @@ struct RetargetResult {
     const RetargetConfig& config);
 
 }  // namespace ethsm::sim
+
+namespace ethsm::support {
+
+template <>
+struct CheckpointCodec<sim::EpochStats> : DoublesCodec<sim::EpochStats> {};
+
+/// The epoch trajectory, then the steady-state averages.
+template <>
+struct CheckpointCodec<sim::RetargetResult> {
+  static void encode(ByteWriter& w, const sim::RetargetResult& result) {
+    w.u64(result.epochs.size());
+    for (const auto& e : result.epochs) {
+      CheckpointCodec<sim::EpochStats>::encode(w, e);
+    }
+    for (double v : {result.steady_regular_rate, result.steady_counted_rate,
+                     result.steady_pool_reward_rate,
+                     result.steady_honest_reward_rate,
+                     result.final_difficulty}) {
+      w.f64(v);
+    }
+  }
+  static sim::RetargetResult decode(ByteReader& r) {
+    sim::RetargetResult result;
+    result.epochs.resize(r.u64());
+    for (auto& e : result.epochs) {
+      e = CheckpointCodec<sim::EpochStats>::decode(r);
+    }
+    for (double* v : {&result.steady_regular_rate, &result.steady_counted_rate,
+                      &result.steady_pool_reward_rate,
+                      &result.steady_honest_reward_rate,
+                      &result.final_difficulty}) {
+      *v = r.f64();
+    }
+    return result;
+  }
+};
+
+}  // namespace ethsm::support
 
 #endif  // ETHSM_SIM_RETARGET_SIM_H

@@ -27,12 +27,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "support/stats.h"
@@ -154,6 +154,43 @@ template <>
 struct CheckpointCodec<double> {
   static void encode(ByteWriter& w, double v) { w.f64(v); }
   static double decode(ByteReader& r) { return r.f64(); }
+};
+
+/// An engaged flag, then the value (0.0 when disengaged).
+template <>
+struct CheckpointCodec<std::optional<double>> {
+  static void encode(ByteWriter& w, const std::optional<double>& v) {
+    w.boolean(v.has_value());
+    w.f64(v.value_or(0.0));
+  }
+  static std::optional<double> decode(ByteReader& r) {
+    const bool engaged = r.boolean();
+    const double value = r.f64();
+    return engaged ? std::optional<double>(value) : std::nullopt;
+  }
+};
+
+/// Codec of a struct whose every member is a double (arrays of doubles
+/// included): the members' raw bit patterns in declaration order. Specialize
+/// CheckpointCodec<T> for such a T by deriving from DoublesCodec<T>.
+template <typename T>
+struct DoublesCodec {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                    sizeof(T) % sizeof(double) == 0,
+                "DoublesCodec wants a struct of doubles");
+  static constexpr std::size_t kCount = sizeof(T) / sizeof(double);
+  static void encode(ByteWriter& w, const T& value) {
+    double fields[kCount];
+    std::memcpy(fields, &value, sizeof(T));
+    for (double f : fields) w.f64(f);
+  }
+  static T decode(ByteReader& r) {
+    double fields[kCount];
+    for (double& f : fields) f = r.f64();
+    T value;
+    std::memcpy(&value, fields, sizeof(T));
+    return value;
+  }
 };
 
 template <>
@@ -294,6 +331,13 @@ struct SweepOutcome {
   }
 };
 
+/// One checkpointed sweep as a plan declares it: the store fingerprint its
+/// records are keyed by and its job count, both known before anything runs.
+struct SweepKey {
+  std::uint64_t fingerprint = 0;
+  std::size_t jobs = 0;
+};
+
 /// Checkpoint/shard options threaded through the sweep drivers. An empty
 /// directory disables persistence entirely (the driver computes every job
 /// in-process exactly as before).
@@ -309,36 +353,10 @@ struct SweepCheckpoint {
   [[nodiscard]] bool enabled() const noexcept { return !directory.empty(); }
 };
 
-// -------------------------------------------------------------- bench CLI --
-
-/// Shared command-line contract of the bench regenerators:
-///   --quick               smaller grids / fewer runs
-///   --checkpoint-dir DIR  persist per-job results under DIR and resume
-///   --resume              like --checkpoint-dir with the default directory
-///                         ("ethsm-checkpoints")
-///   --shard k/N           compute only job indices j with j %% N == k
-/// Environment fallbacks: ETHSM_CHECKPOINT_DIR, ETHSM_SHARD (flags win).
-/// Unknown arguments abort with a usage message on stderr (exit code 2).
-struct SweepCli {
-  bool quick = false;
-  SweepCheckpoint checkpoint;
-};
-
-[[nodiscard]] SweepCli parse_sweep_cli(int argc, char** argv);
-
-/// One-line human-readable resume/shard progress summary for bench output.
+/// One-line human-readable resume/shard progress summary ("checkpoint: L
+/// loaded + C computed of N jobs ...").
 [[nodiscard]] std::string describe(const SweepCheckpoint& checkpoint,
                                    const SweepOutcome& outcome);
-
-/// Shared bench/example epilogue: prints the progress line (when
-/// checkpointing is enabled) and, for an incomplete sweep, the
-/// partial-sweep notice. Returns true when the sweep is complete and
-/// aggregates may be shown -- callers must suppress aggregate output (and
-/// typically exit) on false, so a sharded process never prints a partial
-/// curve as if it were the merged result.
-[[nodiscard]] bool report_sweep_progress(std::ostream& os,
-                                         const SweepCheckpoint& checkpoint,
-                                         const SweepOutcome& outcome);
 
 }  // namespace ethsm::support
 

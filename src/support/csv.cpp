@@ -1,6 +1,5 @@
 #include "support/csv.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "support/check.h"
@@ -63,13 +62,6 @@ std::string CsvWriter::str() const {
     os << '\n';
   }
   return os.str();
-}
-
-bool CsvWriter::write_file(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << str();
-  return static_cast<bool>(f);
 }
 
 }  // namespace ethsm::support

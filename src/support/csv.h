@@ -1,5 +1,5 @@
-// Minimal CSV writer: the bench regenerators optionally dump their series as
-// CSV next to the human-readable tables so results can be re-plotted.
+// Minimal CSV writer behind `ethsm run --format csv` and the data.csv of a
+// results tree, so series can be re-plotted.
 
 #ifndef ETHSM_SUPPORT_CSV_H
 #define ETHSM_SUPPORT_CSV_H
@@ -26,9 +26,6 @@ class CsvWriter {
   void add_optional_row(const std::vector<std::optional<double>>& values);
 
   [[nodiscard]] std::string str() const;
-  /// Writes to `path`; returns false (does not throw) on I/O failure so bench
-  /// binaries keep printing to stdout even on a read-only filesystem.
-  bool write_file(const std::string& path) const;
 
  private:
   static std::string escape(const std::string& cell);

@@ -5,6 +5,8 @@
 // data must be detected and recomputed rather than trusted. Suites are named
 // Checkpoint* so `ctest -L checkpoint` selects them.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,8 +36,10 @@ using support::SweepOutcome;
 
 std::string temp_dir(const std::string& tag) {
   static int counter = 0;
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       ("ethsm_sweep_" + tag + "_" + std::to_string(counter++));
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      ("ethsm_sweep_" + std::to_string(::getpid()) + "_" + tag + "_" +
+       std::to_string(counter++));
   fs::remove_all(dir);
   return dir.string();
 }

@@ -3,10 +3,13 @@
 // header handling, and agreement between the scanner's record counts and
 // what a CheckpointStore actually persisted.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "api/presets.h"
 #include "api/runner.h"
@@ -23,7 +26,8 @@ class CheckpointScanTest : public ::testing::Test {
   void SetUp() override {
     static int counter = 0;
     dir_ = fs::path(::testing::TempDir()) /
-           ("ethsm_scan_" + std::to_string(counter++));
+           ("ethsm_scan_" + std::to_string(::getpid()) + "_" +
+            std::to_string(counter++));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
@@ -91,29 +95,38 @@ TEST_F(CheckpointScanTest, TruncatedTailCountsOnlyValidRecords) {
   EXPECT_EQ(after[0].records, 1u);
 }
 
-TEST_F(CheckpointScanTest, PresetKeepSetCoversARealSweepStore) {
-  // Run a tiny checkpointed preset sweep, then verify the GC keep-set
-  // (api::referenced_fingerprints) recognizes the file it wrote -- the
-  // property `ethsm checkpoint-stats --prune` relies on to never delete a
-  // preset's records.
-  api::RunOptions options;
-  options.checkpoint.directory = dir_.string();
-  const auto result = api::run(api::preset_spec("fig10", true), options);
-  ASSERT_TRUE(result.complete());
-
-  const auto files = scan_checkpoint_directory(dir_.string());
-  ASSERT_FALSE(files.empty());
+TEST_F(CheckpointScanTest, PresetSweepFingerprintsEqualARealSweepStore) {
+  // For every preset, run a fresh checkpointed quick sweep and verify that
+  // sweep_fingerprints (the plan listed without running) names exactly the
+  // stores it wrote -- none missing, none extra -- and that the GC keep-set
+  // (api::referenced_fingerprints) attributes each of them to that preset,
+  // the property `ethsm checkpoint-stats --prune` relies on to never delete
+  // a preset's records.
   const auto keep = api::referenced_fingerprints();
-  for (const auto& file : files) {
-    ASSERT_TRUE(file.readable) << file.path;
-    bool referenced = false;
-    for (const auto& ref : keep) {
-      if (ref.fingerprint == file.fingerprint) {
-        referenced = true;
-        EXPECT_EQ(ref.owner, "fig10 --quick");
-      }
+  for (const api::Preset& preset : api::presets()) {
+    const fs::path dir = dir_ / preset.name;
+    api::RunOptions options;
+    options.checkpoint.directory = dir.string();
+    const api::ExperimentSpec spec = preset.spec(/*quick=*/true);
+    const auto result = api::run(spec, options);
+    ASSERT_TRUE(result.complete()) << preset.name;
+
+    std::set<std::uint64_t> written;
+    for (const auto& file : scan_checkpoint_directory(dir.string())) {
+      ASSERT_TRUE(file.readable) << file.path;
+      written.insert(file.fingerprint);
     }
-    EXPECT_TRUE(referenced) << file.path;
+    const auto listed = api::sweep_fingerprints(spec);
+    EXPECT_EQ(written, std::set<std::uint64_t>(listed.begin(), listed.end()))
+        << preset.name;
+    for (const std::uint64_t fp : written) {
+      bool referenced = false;
+      for (const auto& ref : keep) {
+        referenced |= ref.fingerprint == fp &&
+                      ref.owner == preset.name + " --quick";
+      }
+      EXPECT_TRUE(referenced) << preset.name;
+    }
   }
 }
 

@@ -32,7 +32,7 @@ const Column& column(const ExperimentResult& result, std::size_t table,
 }
 
 TEST(PresetEquivalence, Fig8QuickMatchesRevenueCurveDriver) {
-  // The legacy bench_fig8_revenue --quick path, verbatim.
+  // The fig8 --quick series through revenue_curve directly, verbatim.
   analysis::RevenueCurveOptions opt;
   opt.gamma = 0.5;
   opt.rewards = rewards::RewardConfig::ethereum_flat(0.5);
@@ -61,8 +61,8 @@ TEST(PresetEquivalence, Fig8QuickMatchesRevenueCurveDriver) {
 }
 
 TEST(PresetEquivalence, Fig9SeriesMatchRevenueCurveDriver) {
-  // Legacy bench_fig9 series: flat 7/8 at horizon 100 plus the cap-6
-  // ablation, gamma 0.5, max_lead 120, no simulation.
+  // The fig9 series: flat 7/8 at horizon 100 plus the cap-6 ablation,
+  // gamma 0.5, max_lead 120, no simulation.
   analysis::RevenueCurveOptions wide;
   wide.gamma = 0.5;
   wide.rewards = rewards::RewardConfig::ethereum_flat(7.0 / 8.0, 100);
@@ -92,7 +92,7 @@ TEST(PresetEquivalence, Fig9SeriesMatchRevenueCurveDriver) {
 }
 
 TEST(PresetEquivalence, Fig10QuickMatchesThresholdCurveDriver) {
-  // The legacy bench_fig10_threshold --quick path, verbatim.
+  // The fig10 --quick curve through threshold_curve directly, verbatim.
   analysis::ThresholdCurveOptions opt;
   opt.gammas = {0.0, 0.25, 0.5, 0.75, 1.0};
   opt.threshold.tolerance = 1e-4;
@@ -114,8 +114,8 @@ TEST(PresetEquivalence, Fig10QuickMatchesThresholdCurveDriver) {
 }
 
 TEST(PresetEquivalence, Table2QuickMatchesAnalysisAndRunMany) {
-  // Legacy bench_table2 --quick: distribution at max_lead 120 + 3 runs of
-  // 50k blocks, seed 0x7ab1e2, for alpha in {0.3, 0.45}.
+  // table2 --quick: distribution at max_lead 120 + 3 runs of 50k blocks,
+  // seed 0x7ab1e2, for alpha in {0.3, 0.45}.
   const auto d30 =
       analysis::honest_uncle_distance_distribution({0.3, 0.5}, 120);
   sim::SimConfig sc;
@@ -143,7 +143,7 @@ TEST(PresetEquivalence, Table2QuickMatchesAnalysisAndRunMany) {
 }
 
 TEST(PresetEquivalence, ExtStubbornQuickMatchesRunStubbornMany) {
-  // Legacy bench_ext_stubborn seed chain: 0x57ab + alpha * 1e4, Byzantium,
+  // The ext_stubborn seed chain: 0x57ab + alpha * 1e4, Byzantium,
   // scenario 1; quick preset grid {0.25, 0.35, 0.45}, 3 runs x 30k blocks.
   const ExperimentResult result = run(preset_spec("ext_stubborn", true));
   ASSERT_TRUE(result.complete());
@@ -243,7 +243,7 @@ TEST(PresetEquivalence, SweepFingerprintsMatchTheDrivers) {
   opt.threshold.tolerance = 1e-4;
   const auto fps = sweep_fingerprints(preset_spec("fig10", true));
   ASSERT_EQ(fps.size(), 1u);
-  EXPECT_EQ(fps[0], analysis::threshold_curve_fingerprint(opt));
+  EXPECT_EQ(fps[0], analysis::threshold_curve_sweep(opt).fingerprint);
 
   sim::SimConfig sc;
   sc.alpha = 0.3;
@@ -251,7 +251,8 @@ TEST(PresetEquivalence, SweepFingerprintsMatchTheDrivers) {
   sc.num_blocks = 50'000;
   sc.seed = 0x7ab1e2;
   const auto table2_fps = sweep_fingerprints(preset_spec("table2", true));
-  ASSERT_EQ(table2_fps.size(), 2u);  // one run_many sweep per alpha
+  // One run_many sweep per alpha, then the analysis-side sweep.
+  ASSERT_EQ(table2_fps.size(), 3u);
   EXPECT_EQ(table2_fps[0], sim::run_many_fingerprint(sc, 3));
 }
 

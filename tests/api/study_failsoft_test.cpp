@@ -4,6 +4,8 @@
 // still run, --retry re-attempts with backoff, and a failed cell's stale
 // results directory is removed rather than left to contradict the manifest.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -39,7 +41,8 @@ class StudyFailSoftTest : public ::testing::Test {
   void SetUp() override {
     static int counter = 0;
     root_ = fs::path(::testing::TempDir()) /
-            ("ethsm_failsoft_" + std::to_string(counter++));
+            ("ethsm_failsoft_" + std::to_string(::getpid()) + "_" +
+             std::to_string(counter++));
     fs::remove_all(root_);
     fs::create_directories(root_);
   }

@@ -7,6 +7,8 @@
 
 #include "api/study.h"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -172,7 +174,8 @@ class StudyRunTest : public ::testing::Test {
   void SetUp() override {
     static int counter = 0;
     root_ = fs::path(::testing::TempDir()) /
-            ("ethsm_study_" + std::to_string(counter++));
+            ("ethsm_study_" + std::to_string(::getpid()) + "_" +
+             std::to_string(counter++));
     fs::remove_all(root_);
     fs::create_directories(root_);
   }
@@ -293,6 +296,26 @@ TEST_F(StudyRunTest, InterruptedResumeWritesBitwiseIdenticalTree) {
   for (const auto& [path, contents] : fresh) {
     EXPECT_EQ(plain.at(path), contents) << path << " differs";
   }
+}
+
+TEST_F(StudyRunTest, ResumedPaperStudyRecomputesNothing) {
+  // Every solve and simulation of every kind is a checkpointed job, so a
+  // resume of the whole quick artefact against a fresh run's store loads
+  // everything: no cell computes a job or runs a stationary solve.
+  const auto entries = paper_study_entries(/*quick=*/true);
+  RunOptions options;
+  options.checkpoint.directory = (root_ / "ck").string();
+  write_study_results(run_study("paper", "", entries, options),
+                      (root_ / "fresh").string());
+
+  const StudyResult resumed = run_study("paper", "", entries, options);
+  ASSERT_TRUE(resumed.complete());
+  for (const StudyEntryResult& entry : resumed.entries) {
+    EXPECT_EQ(entry.timing.jobs_computed, 0u) << entry.name;
+    EXPECT_EQ(entry.timing.solver_solves, 0u) << entry.name;
+  }
+  write_study_results(resumed, (root_ / "resumed").string());
+  EXPECT_EQ(snapshot(root_ / "resumed"), snapshot(root_ / "fresh"));
 }
 
 TEST_F(StudyRunTest, EditedStudyCleansUpStaleEntryDirectories) {

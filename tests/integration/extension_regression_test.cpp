@@ -1,6 +1,6 @@
-// Regression pins for the extension experiments (EXPERIMENTS.md, extensions
-// section). Deterministic seeds; effect sizes are far above Monte-Carlo
-// noise at these run lengths.
+// Regression pins for the extension experiments (the ext_* presets): each
+// test below holds its experiment's headline number. Deterministic seeds;
+// effect sizes are far above Monte-Carlo noise at these run lengths.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@ namespace {
 using sim::Scenario;
 
 TEST(StubbornRegression, LeadEqualForkComboBeatsAlgorithmOneAtHighAlpha) {
-  // bench_ext_stubborn's headline: with uncle rewards in play, the L+F
+  // The ext_stubborn preset's headline: with uncle rewards in play, the L+F
   // combination out-earns Algorithm 1 once alpha >= ~0.3 (gamma = 0.5).
   sim::SimConfig config;
   config.alpha = 0.40;

@@ -80,7 +80,7 @@ TEST(PaperFig9, TotalRevenueSoarsTo135Percent) {
   // mining, when Ku = 7/8 Ks and alpha = 0.45". The paper's flat schedules
   // pay "regardless of the distance": with the reference horizon uncapped
   // the total is 1.347; under Ethereum's structural cap of 6 it is 1.269
-  // (both recorded in EXPERIMENTS.md).
+  // (GoldenFig9.LandmarkTotalsAndPoolSeries pins both to 5e-6).
   const auto r = analysis::compute_revenue(
       {0.45, 0.5}, rewards::RewardConfig::ethereum_flat(7.0 / 8.0, 100), 300);
   const double total = analysis::total_revenue(r, Scenario::regular_rate_one);

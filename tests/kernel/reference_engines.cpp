@@ -61,13 +61,15 @@ std::vector<double> reference_solve_stationary_power(
   const auto n = static_cast<std::size_t>(model.space().size());
   std::vector<double> pi(n, 0.0), next(n, 0.0);
   pi[0] = 1.0;
-  const auto& edges = model.transitions();
+  const auto& offsets = model.row_offsets();
   double diff = 1.0;
   for (int iter = 0; iter < max_iterations && diff > tolerance; ++iter) {
     std::fill(next.begin(), next.end(), 0.0);
-    for (const markov::Transition& t : edges) {
-      next[static_cast<std::size_t>(t.to)] +=
-          pi[static_cast<std::size_t>(t.from)] * t.rate;
+    for (std::size_t from = 0; from < n; ++from) {
+      for (std::uint32_t e = offsets[from]; e < offsets[from + 1]; ++e) {
+        next[static_cast<std::size_t>(model.columns()[e])] +=
+            pi[from] * model.rates()[e];
+      }
     }
     diff = 0.0;
     for (std::size_t s = 0; s < n; ++s) diff += std::fabs(next[s] - pi[s]);

@@ -25,10 +25,20 @@ class ModelFixture : public ::testing::Test {
   MiningParams params{0.3, 0.4};
   TransitionModel model{space, params};
 
-  std::map<std::pair<int, TransitionKind>, Transition> by_kind(int from) {
-    std::map<std::pair<int, TransitionKind>, Transition> out;
-    auto [begin, end] = model.outgoing(from);
-    for (auto* t = begin; t != end; ++t) out[{t->from, t->kind}] = *t;
+  /// One CSR entry of a row: target state and rate.
+  struct Entry {
+    int to = -1;
+    double rate = 0.0;
+  };
+
+  /// Row `from` of the CSR arrays keyed by (from, kind).
+  std::map<std::pair<int, TransitionKind>, Entry> by_kind(int from) {
+    std::map<std::pair<int, TransitionKind>, Entry> out;
+    const auto row = static_cast<std::size_t>(from);
+    for (auto e = model.row_offsets()[row]; e < model.row_offsets()[row + 1];
+         ++e) {
+      out[{from, model.kinds()[e]}] = {model.columns()[e], model.rates()[e]};
+    }
     return out;
   }
 };
@@ -36,17 +46,20 @@ class ModelFixture : public ::testing::Test {
 TEST_F(ModelFixture, OutgoingRatesSumToOneEverywhere) {
   for (int s = 0; s < space.size(); ++s) {
     double total = 0.0;
-    auto [begin, end] = model.outgoing(s);
-    for (auto* t = begin; t != end; ++t) total += t->rate;
+    const auto row = static_cast<std::size_t>(s);
+    for (auto e = model.row_offsets()[row]; e < model.row_offsets()[row + 1];
+         ++e) {
+      total += model.rates()[e];
+    }
     EXPECT_NEAR(total, 1.0, 1e-12) << "state " << s;
   }
 }
 
 TEST_F(ModelFixture, EveryTargetInsideStateSpace) {
-  for (const Transition& t : model.transitions()) {
-    EXPECT_GE(t.to, 0);
-    EXPECT_LT(t.to, space.size());
-    EXPECT_TRUE(space.state_at(t.to).valid());
+  for (const int to : model.columns()) {
+    EXPECT_GE(to, 0);
+    EXPECT_LT(to, space.size());
+    EXPECT_TRUE(space.state_at(to).valid());
   }
 }
 
@@ -119,11 +132,12 @@ TEST_F(ModelFixture, ForkedLeadTwoResolvesBothWays) {
 
 TEST_F(ModelFixture, TruncationBoundarySelfLoops) {
   const int s = space.index_of(State{30, 0});
-  auto [begin, end] = model.outgoing(s);
+  const auto row = static_cast<std::size_t>(s);
   bool found_self_loop = false;
-  for (auto* t = begin; t != end; ++t) {
-    if (t->kind == TransitionKind::pool_extend_lead) {
-      EXPECT_EQ(t->to, s);
+  for (auto e = model.row_offsets()[row]; e < model.row_offsets()[row + 1];
+       ++e) {
+    if (model.kinds()[e] == TransitionKind::pool_extend_lead) {
+      EXPECT_EQ(model.columns()[e], s);
       found_self_loop = true;
     }
   }
@@ -133,18 +147,18 @@ TEST_F(ModelFixture, TruncationBoundarySelfLoops) {
 TEST(TransitionModel, GammaZeroOmitsRerootTransitions) {
   StateSpace space(10);
   TransitionModel model(space, MiningParams{0.3, 0.0});
-  for (const Transition& t : model.transitions()) {
-    EXPECT_NE(t.kind, TransitionKind::honest_prefix_reroot);
-    EXPECT_NE(t.kind, TransitionKind::honest_resolve_lead2_prefix);
+  for (const TransitionKind kind : model.kinds()) {
+    EXPECT_NE(kind, TransitionKind::honest_prefix_reroot);
+    EXPECT_NE(kind, TransitionKind::honest_resolve_lead2_prefix);
   }
 }
 
 TEST(TransitionModel, GammaOneOmitsForkExtension) {
   StateSpace space(10);
   TransitionModel model(space, MiningParams{0.3, 1.0});
-  for (const Transition& t : model.transitions()) {
-    EXPECT_NE(t.kind, TransitionKind::honest_fork_extend);
-    EXPECT_NE(t.kind, TransitionKind::honest_resolve_lead2_fork);
+  for (const TransitionKind kind : model.kinds()) {
+    EXPECT_NE(kind, TransitionKind::honest_fork_extend);
+    EXPECT_NE(kind, TransitionKind::honest_resolve_lead2_fork);
   }
 }
 

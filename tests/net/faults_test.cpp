@@ -8,6 +8,8 @@
 
 #include "net/faults.h"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -213,7 +215,8 @@ TEST_F(NetFaultDeterminism, FaultedInterruptedResumeIsBitwiseIdentical) {
   const auto fresh = fingerprint(run_net_many(config, kRuns));
 
   const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "ethsm_fault_resume";
+      std::filesystem::path(::testing::TempDir()) /
+      ("ethsm_fault_resume_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   support::SweepCheckpoint checkpoint;
   checkpoint.directory = dir.string();

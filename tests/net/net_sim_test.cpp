@@ -12,6 +12,8 @@
 //     crossings at every leaf, so gamma -> 0 and revenue must match the
 //     gamma = 0 Markov prediction.
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -174,7 +176,8 @@ TEST_F(NetSimTest, NetInterruptedResumeIsBitwiseIdenticalToFresh) {
   const auto fresh = fingerprint(run_net_many(config, kRuns));
 
   const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "ethsm_net_resume";
+      std::filesystem::path(::testing::TempDir()) /
+      ("ethsm_net_resume_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   support::SweepCheckpoint checkpoint;
   checkpoint.directory = dir.string();

@@ -299,6 +299,31 @@ TEST(ServeService, ProgressReportsRecordsAndCacheState) {
             404);
 }
 
+TEST(ServeService, ProgressListsTheSweepsOfEveryKind) {
+  // Sec. VI's threshold searches run as one checkpointed sweep like every
+  // other kind's solves, so its progress read lists that sweep with every
+  // job persisted.
+  const std::string dir = temp_dir("progress_sec6");
+  ExperimentService service(config_for(dir));
+  HttpRequest request = post_run_body("");
+  request.query.emplace_back("preset", "sec6_reward_design");
+  request.query.emplace_back("quick", "1");
+  ASSERT_EQ(service.handle(request, "t").status, 200);
+
+  const api::ExperimentSpec spec = api::preset_spec("sec6_reward_design", true);
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(api::spec_fingerprint(spec)));
+  const HttpResponse progress =
+      service.handle(get("/v1/progress/" + std::string(hex)), "t");
+  ASSERT_EQ(progress.status, 200) << progress.body;
+  EXPECT_EQ(progress.body.find("\"sweeps\": []"), std::string::npos)
+      << progress.body;
+  EXPECT_NE(progress.body.find("\"records\": 10, \"jobs\": 10}"),
+            std::string::npos)
+      << progress.body;
+}
+
 TEST(ServeService, PresetsEndpointMatchesTheRegistryRendering) {
   ExperimentService service(config_for(temp_dir("presets")));
   const HttpResponse response = service.handle(get("/v1/presets"), "t");

@@ -5,6 +5,8 @@
 
 #include "support/checkpoint.h"
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,8 +27,10 @@ namespace fs = std::filesystem;
 /// Fresh unique directory under the test temp root.
 std::string temp_dir(const std::string& tag) {
   static int counter = 0;
-  const fs::path dir = fs::path(::testing::TempDir()) /
-                       ("ethsm_ckpt_" + tag + "_" + std::to_string(counter++));
+  const fs::path dir =
+      fs::path(::testing::TempDir()) /
+      ("ethsm_ckpt_" + std::to_string(::getpid()) + "_" + tag + "_" +
+       std::to_string(counter++));
   fs::remove_all(dir);
   return dir.string();
 }
