@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <sstream>
 
@@ -16,6 +17,7 @@
 #include "support/json.h"
 #include "support/metrics.h"
 #include "support/retry.h"
+#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace ethsm::api {
@@ -301,15 +303,26 @@ StudyResult run_study(std::string name, std::string title,
   study.title = std::move(title);
   study.checkpoint_enabled = options.checkpoint.enabled();
   study.cell_shard = cell_shard;
-  study.entries.reserve(entries.size());
+  study.entries.resize(entries.size());
 
   // One budget for the whole study: every spec sees what the previous ones
   // left over, so --max-new-jobs interrupts the study as a unit and a resume
-  // picks up at the first unfinished sweep.
+  // picks up at the first unfinished sweep. A budgeted study therefore runs
+  // its cells in order; an unbudgeted one runs them concurrently on the pool
+  // (cells are independent, and every result lands at its index).
   support::SweepCheckpoint remaining = options.checkpoint;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
+  const bool budgeted =
+      remaining.max_new_jobs != static_cast<std::size_t>(-1);
+
+  // Progress is reported in index order: a finished cell is announced once
+  // every earlier cell is.
+  std::mutex progress_mutex;
+  std::vector<char> finished(entries.size(), 0);
+  std::size_t announced = 0;
+
+  auto run_cell = [&](std::size_t i) {
     const StudyEntry& entry = entries[i];
-    StudyEntryResult entry_result;
+    StudyEntryResult& entry_result = study.entries[i];
     entry_result.name = entry.name;
     entry_result.dir = entry.dir;
     entry_result.cell_owner =
@@ -322,7 +335,6 @@ StudyResult run_study(std::string name, std::string title,
       entry_result.result.spec = entry.spec;
       entry_result.result.spec_fingerprint = spec_fingerprint(entry.spec);
       entry_result.result.sweep_fingerprints = sweep_fingerprints(entry.spec);
-      study.entries.push_back(std::move(entry_result));
     } else {
       RunOptions entry_options;
       entry_options.checkpoint = remaining;
@@ -330,32 +342,23 @@ StudyResult run_study(std::string name, std::string title,
       policy.attempts = std::max(failure.retries, 0) + 1;
       policy.initial_backoff_ms = failure.initial_backoff_ms;
       policy.sleeper = failure.sleeper;
-      // Observability only (fills StudyEntryTiming / a study-cell span);
-      // entries run sequentially, so global-registry deltas around the cell
-      // are exactly this cell's solver work. Write-only: nothing below reads
-      // these values back into the run.
+      // Observability only (fills StudyEntryTiming / a study-cell span). The
+      // solver counts come from a per-cell attribution scope, which the pool
+      // carries into every job of the cell's sweeps on whichever thread runs
+      // them. Write-only: nothing below reads these values back into the run.
       support::trace::Span cell_span("study.cell " + entry.name);
-      auto& reg = support::metrics::registry();
-      support::metrics::Counter& solver_solves =
-          reg.counter("ethsm_solver_solves_total");
-      support::metrics::Counter& solver_iters =
-          reg.counter("ethsm_solver_iterations_total");
-      support::metrics::Counter& solver_fallbacks =
-          reg.counter("ethsm_solver_fallbacks_total");
-      const std::uint64_t solves_before = solver_solves.value();
-      const std::uint64_t iters_before = solver_iters.value();
-      const std::uint64_t fallbacks_before = solver_fallbacks.value();
+      support::metrics::Scope scope;
       const auto cell_start = std::chrono::steady_clock::now();
       try {
+        const support::metrics::Scope::Install install(&scope);
         ExperimentResult result = support::retry(policy, [&] {
           ++entry_result.attempts;
           return run(entry.spec, entry_options);
         });
-        if (remaining.max_new_jobs != static_cast<std::size_t>(-1)) {
+        if (budgeted) {
           remaining.max_new_jobs -=
               std::min(result.outcome.computed, remaining.max_new_jobs);
         }
-        study.outcome.merge(result.outcome);
         entry_result.timing.jobs_computed = result.outcome.computed;
         entry_result.timing.jobs_loaded = result.outcome.loaded;
         entry_result.result = std::move(result);
@@ -379,15 +382,33 @@ StudyResult run_study(std::string name, std::string title,
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - cell_start)
               .count();
-      entry_result.timing.solver_solves = solver_solves.value() - solves_before;
+      auto& reg = support::metrics::registry();
+      entry_result.timing.solver_solves =
+          scope.value(reg.counter("ethsm_solver_solves_total"));
       entry_result.timing.solver_iterations =
-          solver_iters.value() - iters_before;
+          scope.value(reg.counter("ethsm_solver_iterations_total"));
       entry_result.timing.solver_fallbacks =
-          solver_fallbacks.value() - fallbacks_before;
-      study.entries.push_back(std::move(entry_result));
+          scope.value(reg.counter("ethsm_solver_fallbacks_total"));
     }
-    if (progress) {
-      progress(study.entries.size(), entries.size(), study.entries.back());
+
+    const std::lock_guard<std::mutex> lock(progress_mutex);
+    finished[i] = 1;
+    while (announced < entries.size() && finished[announced] != 0) {
+      ++announced;
+      if (progress) {
+        progress(announced, entries.size(), study.entries[announced - 1]);
+      }
+    }
+  };
+  if (budgeted) {
+    for (std::size_t i = 0; i < entries.size(); ++i) run_cell(i);
+  } else {
+    support::ThreadPool::global().for_each_task(entries.size(), run_cell);
+  }
+
+  for (const StudyEntryResult& entry : study.entries) {
+    if (!entry.skipped && !entry.failed) {
+      study.outcome.merge(entry.result.outcome);
     }
   }
   return study;

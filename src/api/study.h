@@ -34,7 +34,9 @@
 // run_study executes the expansion through run(spec) with ONE shared
 // checkpoint directory (sweep fingerprints already disambiguate the drivers'
 // stores), one rolled-up SweepOutcome, and a cross-spec --max-new-jobs
-// budget; write_study_results renders one results tree
+// budget. Cells run concurrently on the global pool (a budgeted study runs
+// them in order); results, progress and the manifest stay in index order.
+// write_study_results renders one results tree
 //   <out>/<entry-dir>/{table.txt,data.csv,data.json} + <out>/manifest.json
 // whose files are provenance-stable: an interrupted-and-resumed study writes
 // a tree bitwise-identical to an uninterrupted one (asserted under
@@ -114,11 +116,12 @@ struct StudyEntry {
 /// `,\s*"timing": \{[^}]*\}` (tools/compare_trees.py and the study tests).
 /// Never put deterministic result data in here.
 struct StudyEntryTiming {
-  double wall_ms = 0.0;            ///< run(spec) wall time, retries included
+  double wall_ms = 0.0;  ///< run(spec) wall time, retries included; cells
+                         ///< run concurrently, so these overlap
   std::uint64_t jobs_computed = 0; ///< sweep jobs computed this invocation
   std::uint64_t jobs_loaded = 0;   ///< sweep jobs loaded from checkpoints
-  std::uint64_t solver_solves = 0;     ///< stationary solves (registry delta)
-  std::uint64_t solver_iterations = 0; ///< stationary sweeps (registry delta)
+  std::uint64_t solver_solves = 0;     ///< stationary solves (cell scope)
+  std::uint64_t solver_iterations = 0; ///< stationary sweeps (cell scope)
   std::uint64_t solver_fallbacks = 0;  ///< gs -> power fallbacks taken
 };
 
@@ -177,8 +180,10 @@ struct StudyResult {
   }
 };
 
-/// Called after each entry finishes (1-based index, total, the entry's
-/// result) -- the CLI streams per-spec progress through this.
+/// Called once per entry (1-based index, total, the entry's result), in
+/// index order: an entry is reported once it and every earlier entry have
+/// finished. Calls never overlap but may come from any pool thread. The CLI
+/// streams per-spec progress through this.
 using StudyProgress =
     std::function<void(std::size_t, std::size_t, const StudyEntryResult&)>;
 

@@ -275,7 +275,7 @@ StationaryDistribution solve_stationary(const TransitionModel& model,
                            options.max_iterations, iter);
       produced = SolveMethod::power;
       if constexpr (support::metrics::kEnabled) {
-        SolverMetrics::instance().fallbacks.add();
+        SolverMetrics::instance().fallbacks.add_scoped();
       }
     }
   } else {
@@ -285,8 +285,8 @@ StationaryDistribution solve_stationary(const TransitionModel& model,
 
   if constexpr (support::metrics::kEnabled) {
     SolverMetrics& m = SolverMetrics::instance();
-    m.solves.add();
-    m.iterations.add(static_cast<std::uint64_t>(iter < 0 ? 0 : iter));
+    m.solves.add_scoped();
+    m.iterations.add_scoped(static_cast<std::uint64_t>(iter < 0 ? 0 : iter));
     (produced == SolveMethod::gauss_seidel ? m.gauss_seidel : m.power).add();
   }
 

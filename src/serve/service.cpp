@@ -1,9 +1,7 @@
 #include "serve/service.h"
 
-#include <algorithm>
 #include <cstring>
 #include <sstream>
-#include <vector>
 
 #include "api/presets.h"
 #include "api/render.h"
@@ -133,14 +131,6 @@ std::optional<std::string> ExperimentService::known_spec(
   const auto it = known_specs_.find(fingerprint);
   if (it == known_specs_.end()) return std::nullopt;
   return it->second;
-}
-
-std::shared_ptr<std::mutex> ExperimentService::sweep_lock(
-    std::uint64_t sweep) {
-  const std::lock_guard<std::mutex> lock(sweep_locks_mutex_);
-  auto& slot = sweep_locks_[sweep];
-  if (!slot) slot = std::make_shared<std::mutex>();
-  return slot;
 }
 
 HttpResponse ExperimentService::handle(const HttpRequest& request,
@@ -332,25 +322,14 @@ HttpResponse ExperimentService::run_spec(std::uint64_t fingerprint,
       support::trace::Span parse_span("serve.parse_spec");
       return api::parse_spec(spec_text);
     }();
-    // One writer per sweep (the checkpoint store's contract): distinct specs
-    // can touch the same sweep, so take every sweep lock in sorted order.
-    std::vector<std::uint64_t> sweeps = api::sweep_fingerprints(spec);
-    std::sort(sweeps.begin(), sweeps.end());
-    sweeps.erase(std::unique(sweeps.begin(), sweeps.end()), sweeps.end());
-    std::vector<std::shared_ptr<std::mutex>> locks;
-    locks.reserve(sweeps.size());
-    for (const std::uint64_t sweep : sweeps) locks.push_back(sweep_lock(sweep));
-    std::vector<std::unique_lock<std::mutex>> held;
-    held.reserve(locks.size());
-    for (const auto& lock : locks) held.emplace_back(*lock);
-
+    // Distinct specs can share a sweep; support::run_checkpointed keeps
+    // them to one writer per sweep.
     api::RunOptions options;
     options.checkpoint.directory = config_.checkpoint_dir;
     const api::ExperimentResult result = [&] {
       support::trace::Span compute_span("serve.compute");
       return api::run(spec, options);
     }();
-    held.clear();
     computations_.add();
 
     support::trace::Span render_span("serve.render");

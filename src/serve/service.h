@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -126,14 +125,6 @@ class ExperimentService {
 
   mutable std::mutex specs_mutex_;
   std::map<std::uint64_t, std::string> known_specs_;
-
-  /// Per-sweep writer locks: api::run opens the checkpoint store for every
-  /// sweep it touches, and the store's writer/reader contract allows one
-  /// writer per sweep. Distinct specs can share sweep fingerprints, so the
-  /// dedupe table alone does not serialize them -- these locks do.
-  std::mutex sweep_locks_mutex_;
-  std::map<std::uint64_t, std::shared_ptr<std::mutex>> sweep_locks_;
-  [[nodiscard]] std::shared_ptr<std::mutex> sweep_lock(std::uint64_t sweep);
 
   /// The single source of truth for the daemon's counters: /v1/status and
   /// GET /metrics are two renderings of this per-instance registry (plus the

@@ -376,6 +376,37 @@ CheckpointStore::CheckpointStore(std::string directory,
   }
 }
 
+namespace {
+
+std::mutex g_sweep_locks_mutex;
+/// Live sweep locks; an entry goes when its last holder lets go.
+std::map<std::pair<std::string, std::uint64_t>, std::weak_ptr<std::mutex>>
+    g_sweep_locks;  // guarded by g_sweep_locks_mutex
+
+}  // namespace
+
+SweepWriterLock::SweepWriterLock(const std::string& directory,
+                                 std::uint64_t fingerprint)
+    : key_(directory, fingerprint) {
+  {
+    const std::lock_guard<std::mutex> guard(g_sweep_locks_mutex);
+    std::weak_ptr<std::mutex>& slot = g_sweep_locks[key_];
+    mutex_ = slot.lock();
+    if (!mutex_) {
+      mutex_ = std::make_shared<std::mutex>();
+      slot = mutex_;
+    }
+  }
+  mutex_->lock();
+}
+
+SweepWriterLock::~SweepWriterLock() {
+  mutex_->unlock();
+  const std::lock_guard<std::mutex> guard(g_sweep_locks_mutex);
+  if (mutex_.use_count() == 1) g_sweep_locks.erase(key_);
+  mutex_.reset();
+}
+
 std::string CheckpointStore::own_file_path() const {
   std::ostringstream name;
   name << "sweep-" << hex64(fingerprint_) << "-shard" << shard_.index << "of"

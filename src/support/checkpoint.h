@@ -28,11 +28,13 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/stats.h"
@@ -225,7 +227,8 @@ struct CheckpointCodec<Histogram> {
 /// scan_checkpoint_directory (both stop at the first invalid record and never
 /// write); constructing a second CheckpointStore for the same (directory,
 /// fingerprint, shard) while a writer is live is NOT safe -- the constructor
-/// truncates its own file's invalid tail.
+/// truncates its own file's invalid tail. Within one process,
+/// run_checkpointed rules that out with a SweepWriterLock.
 class CheckpointStore {
  public:
   /// "ETHSMCK1" as a little-endian u64.
@@ -279,6 +282,23 @@ class CheckpointStore {
   ShardSpec shard_;
   std::map<std::uint64_t, std::vector<std::byte>> records_;
   std::mutex append_mutex_;
+};
+
+/// In-process "one writer per sweep": holds the lock of the (directory,
+/// fingerprint) sweep for this object's lifetime. run_checkpointed opens its
+/// store under one, so threads of one process that share a sweep -- study
+/// cells running concurrently, served requests -- never open two stores on
+/// the one own file; the later one waits, then loads what the earlier wrote.
+class SweepWriterLock {
+ public:
+  SweepWriterLock(const std::string& directory, std::uint64_t fingerprint);
+  ~SweepWriterLock();
+  SweepWriterLock(const SweepWriterLock&) = delete;
+  SweepWriterLock& operator=(const SweepWriterLock&) = delete;
+
+ private:
+  std::pair<std::string, std::uint64_t> key_;
+  std::shared_ptr<std::mutex> mutex_;
 };
 
 // ------------------------------------------------------ directory scanning --

@@ -36,6 +36,44 @@ std::size_t Counter::stripe_index() noexcept {
   return id % kStripes;
 }
 
+void Counter::add_scoped(std::uint64_t n) {
+  add(n);
+  if (Scope* scope = Scope::current()) scope->add(*this, n);
+}
+
+// ------------------------------------------------------------------ Scope ---
+
+namespace {
+thread_local Scope* t_scope = nullptr;
+}  // namespace
+
+std::uint64_t Scope::value(const Counter& counter) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [key, count] : counts_) {
+    if (key == &counter) return count;
+  }
+  return 0;
+}
+
+void Scope::add(const Counter& counter, std::uint64_t n) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto& [key, count] : counts_) {
+    if (key == &counter) {
+      count += n;
+      return;
+    }
+  }
+  counts_.emplace_back(&counter, n);
+}
+
+Scope* Scope::current() noexcept { return t_scope; }
+
+Scope::Install::Install(Scope* scope) noexcept : previous_(t_scope) {
+  t_scope = scope;
+}
+
+Scope::Install::~Install() { t_scope = previous_; }
+
 // -------------------------------------------------------------- Histogram ---
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {

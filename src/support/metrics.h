@@ -33,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ethsm::support::metrics {
@@ -58,6 +59,11 @@ class Counter {
     cells_[stripe_index()].value.fetch_add(n, std::memory_order_relaxed);
   }
 
+  /// add(n), and also into the Scope installed on the calling thread, if
+  /// any. For taps whose totals are attributed per unit of work (solver
+  /// counts per study cell); off the per-element hot path.
+  void add_scoped(std::uint64_t n = 1);
+
   std::uint64_t value() const noexcept {
     std::uint64_t total = 0;
     for (const Cell& cell : cells_) {
@@ -75,6 +81,42 @@ class Counter {
   static std::size_t stripe_index() noexcept;
 
   Cell cells_[kStripes];
+};
+
+/// Attribution scope: while installed on a thread, Counter::add_scoped also
+/// counts into it, keyed by counter. Work that fans out over the thread pool
+/// stays attributed: a region carries its opener's scope into every job, on
+/// whichever thread runs it. So concurrent study cells each see exactly their
+/// own solver work, where registry deltas would mix them.
+class Scope {
+ public:
+  Scope() = default;
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+  /// What `counter` added under this scope so far.
+  [[nodiscard]] std::uint64_t value(const Counter& counter) const;
+  void add(const Counter& counter, std::uint64_t n);
+
+  /// The scope installed on the calling thread (nullptr when none).
+  [[nodiscard]] static Scope* current() noexcept;
+
+  /// Installs `scope` (nullptr clears) on the calling thread for this
+  /// object's lifetime, then restores the previous one.
+  class Install {
+   public:
+    explicit Install(Scope* scope) noexcept;
+    ~Install();
+    Install(const Install&) = delete;
+    Install& operator=(const Install&) = delete;
+
+   private:
+    Scope* previous_;
+  };
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<std::pair<const Counter*, std::uint64_t>> counts_;
 };
 
 /// Last-write-wins signed gauge (queue depths, active regions, ...).

@@ -61,9 +61,10 @@ struct CheckpointedSweep {
 /// fresh one. `fingerprint` must cover every parameter the jobs depend on;
 /// records from other fingerprints in the same directory are ignored.
 ///
-/// With checkpointing disabled (`!ckpt.enabled()`) this is exactly
-/// parallel_map: sharding and budgets only apply when there is a store to
-/// merge partial results through.
+/// The store is opened under a SweepWriterLock, so in one process a sweep has
+/// one writer at a time. With checkpointing disabled (`!ckpt.enabled()`) this
+/// is exactly parallel_map: sharding and budgets only apply when there is a
+/// store to merge partial results through.
 template <typename Result, typename F>
 [[nodiscard]] CheckpointedSweep<Result> run_checkpointed(
     const SweepCheckpoint& ckpt, std::uint64_t fingerprint, std::size_t n,
@@ -82,6 +83,7 @@ template <typename Result, typename F>
 
   sweep.results.resize(n);
   sweep.have.assign(n, 0);
+  const SweepWriterLock writer(ckpt.directory, fingerprint);
   CheckpointStore store(ckpt.directory, fingerprint, ckpt.shard);
 
   std::vector<std::size_t> todo;

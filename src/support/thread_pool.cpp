@@ -1,8 +1,10 @@
 #include "support/thread_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 
 #include "support/check.h"
 #include "support/metrics.h"
@@ -18,11 +20,12 @@ thread_local bool t_inside_pool_job = false;
 std::mutex g_global_mutex;
 std::unique_ptr<ThreadPool> g_global_pool;  // guarded by g_global_mutex
 
-/// Write-only observability tap. Tasks drained through regions are counted
-/// and timed; for_each_index's inline paths (n == 1, single-thread pools,
-/// nested regions) bypass the pool machinery and are deliberately not
-/// counted -- the metrics describe pool work, not total work. Queue depth is
-/// the remaining-ticket estimate of the most recently touched region.
+/// Write-only observability tap. Jobs drained through compute regions are
+/// counted and timed; the inline paths (n == 1, single-thread pools, nested
+/// regions) bypass the pool machinery and are deliberately not counted --
+/// the metrics describe pool work, not total work. Coordinator regions and
+/// their tasks are not counted either. Queue depth is the remaining-ticket
+/// estimate of the most recently touched compute region.
 struct PoolMetrics {
   metrics::Counter& tasks;
   metrics::Counter& regions;
@@ -70,23 +73,28 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  work_cv_.notify_all();
+  cv_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
-std::size_t ThreadPool::drain(Region& region) {
-  t_inside_pool_job = true;
+std::size_t ThreadPool::drain(Region& region, std::size_t max_jobs) {
+  // A coordinator task is not a pool job: the compute regions it opens go to
+  // the pool. A compute job is one, so regions nested in it run inline.
+  const bool was_inside = t_inside_pool_job;
+  t_inside_pool_job = !region.coordinator;
+  const metrics::Scope::Install scope(region.scope);
+  // Only compute jobs are pool work in the metrics: a coordinator task
+  // mostly waits inside its own regions, whose jobs are counted already.
+  const bool measured = metrics::kEnabled && !region.coordinator;
   std::size_t completed = 0;
-  for (;;) {
+  while (completed < max_jobs) {
     const std::size_t i =
         region.next_index.fetch_add(1, std::memory_order_relaxed);
     if (i >= region.size) break;
-    if constexpr (metrics::kEnabled) {
+    std::chrono::steady_clock::time_point task_start;
+    if (measured) {
       PoolMetrics::instance().queue_depth.set(
           static_cast<std::int64_t>(region.size - i - 1));
-    }
-    std::chrono::steady_clock::time_point task_start;
-    if constexpr (metrics::kEnabled) {
       task_start = std::chrono::steady_clock::now();
     }
     try {
@@ -95,7 +103,7 @@ std::size_t ThreadPool::drain(Region& region) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!region.first_error) region.first_error = std::current_exception();
     }
-    if constexpr (metrics::kEnabled) {
+    if (measured) {
       PoolMetrics& m = PoolMetrics::instance();
       m.tasks.add();
       m.task_seconds.observe(
@@ -105,82 +113,121 @@ std::size_t ThreadPool::drain(Region& region) {
     }
     ++completed;
   }
-  t_inside_pool_job = false;
+  t_inside_pool_job = was_inside;
   return completed;
 }
 
-void ThreadPool::worker_loop() {
-  std::uint64_t seen_epoch = 0;
-  for (;;) {
-    std::shared_ptr<Region> region;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] {
-        return stop_ || (region_ != nullptr && epoch_ != seen_epoch);
-      });
-      if (stop_) return;
-      seen_epoch = epoch_;
-      region = region_;
+std::shared_ptr<ThreadPool::Region> ThreadPool::claimable_locked(
+    bool coordinator) const {
+  for (const std::shared_ptr<Region>& region : live_) {
+    if (region->coordinator == coordinator && region->has_tickets()) {
+      return region;
     }
+  }
+  return nullptr;
+}
 
-    // A stale snapshot (the region finished while this thread was between
-    // the wait and here) is harmless: its ticket counter is exhausted, so
-    // the loop below exits at once with zero completions.
-    const std::size_t completed = drain(*region);
-    if (completed > 0) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      region->remaining -= completed;
-      if (region->remaining == 0) done_cv_.notify_all();
+void ThreadPool::retire_locked(Region& region, std::size_t completed) {
+  if (completed == 0) return;
+  region.remaining -= completed;
+  if (region.remaining == 0) cv_.notify_all();
+}
+
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    // Sleep until there is compute to claim; coordinator regions never wake
+    // a worker by themselves.
+    std::shared_ptr<Region> region;
+    cv_.wait(lock, [&] {
+      return stop_ || (region = claimable_locked(false)) != nullptr;
+    });
+    if (stop_) return;
+    // Awake: drain compute, and once none is left take coordinator tasks
+    // one at a time, re-checking for compute after each.
+    while (region != nullptr) {
+      lock.unlock();
+      const std::size_t completed = drain(*region, region->claim_size());
+      lock.lock();
+      retire_locked(*region, completed);
+      region = claimable_locked(false);
+      if (region == nullptr) region = claimable_locked(true);
     }
   }
 }
 
 void ThreadPool::run_region(std::size_t n,
-                            const std::function<void(std::size_t)>& fn) {
-  trace::Span span("pool.region");
-  if constexpr (metrics::kEnabled) {
-    PoolMetrics& m = PoolMetrics::instance();
-    m.regions.add();
-    m.active_regions.add(1);
+                            const std::function<void(std::size_t)>& fn,
+                            bool coordinator) {
+  if (n == 0) return;
+  if (n == 1 || concurrency_ == 1 || t_inside_pool_job) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::optional<trace::Span> span;
+  if (!coordinator) {
+    span.emplace("pool.region");
+    if constexpr (metrics::kEnabled) {
+      PoolMetrics& m = PoolMetrics::instance();
+      m.regions.add();
+      m.active_regions.add(1);
+    }
   }
   auto region = std::make_shared<Region>();
   region->fn = fn;  // copied so stragglers can never observe a dead callable
   region->size = n;
+  region->coordinator = coordinator;
+  region->scope = metrics::Scope::current();
   region->remaining = n;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    region_ = region;
-    ++epoch_;
-  }
-  work_cv_.notify_all();
+  std::unique_lock<std::mutex> lock(mutex_);
+  live_.push_back(region);
+  if (!coordinator) cv_.notify_all();
 
-  // The caller drains tickets alongside the workers.
-  const std::size_t completed = drain(*region);
-
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    region->remaining -= completed;
-    done_cv_.wait(lock, [&] { return region->remaining == 0; });
-    if (region_ == region) region_.reset();
-    error = region->first_error;
+  // The caller claims its own tickets first (coordinator tasks one at a
+  // time, so a task finishing late still leaves the rest to idle workers).
+  while (region->has_tickets()) {
+    lock.unlock();
+    const std::size_t completed = drain(*region, region->claim_size());
+    lock.lock();
+    retire_locked(*region, completed);
   }
-  if constexpr (metrics::kEnabled) {
-    PoolMetrics& m = PoolMetrics::instance();
-    m.active_regions.sub(1);
-    m.queue_depth.set(0);
+  // Then, until its stragglers finish, it helps other live compute regions
+  // one ticket at a time. It is outside any job here (nested regions run
+  // inline), so the jobs it borrows cannot collide with its own scratch.
+  while (region->remaining != 0) {
+    if (std::shared_ptr<Region> other = claimable_locked(false)) {
+      lock.unlock();
+      const std::size_t completed = drain(*other, 1);
+      lock.lock();
+      retire_locked(*other, completed);
+      continue;
+    }
+    cv_.wait(lock, [&] {
+      return region->remaining == 0 || claimable_locked(false) != nullptr;
+    });
+  }
+  live_.erase(std::find(live_.begin(), live_.end(), region));
+  const std::exception_ptr error = region->first_error;
+  lock.unlock();
+
+  if (!coordinator) {
+    if constexpr (metrics::kEnabled) {
+      PoolMetrics& m = PoolMetrics::instance();
+      m.active_regions.sub(1);
+      m.queue_depth.set(0);
+    }
   }
   if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::for_each_index(std::size_t n,
                                 const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1 || concurrency_ == 1 || t_inside_pool_job) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  run_region(n, fn);
+  run_region(n, fn, /*coordinator=*/false);
+}
+
+void ThreadPool::for_each_task(std::size_t n,
+                               const std::function<void(std::size_t)>& task) {
+  run_region(n, task, /*coordinator=*/true);
 }
 
 unsigned ThreadPool::default_concurrency() {

@@ -8,12 +8,19 @@
 //  2. No oversubscription: one process-wide pool (ThreadPool::global()),
 //     sized once from ETHSM_THREADS or std::thread::hardware_concurrency().
 //  3. No deadlock on nesting: a parallel region entered from inside a pool
-//     worker runs inline on that worker (the outer region already owns the
-//     hardware).
+//     job runs inline on that thread (the outer region already owns the
+//     hardware). So a thread only ever helps another region from outside
+//     any job -- never while it holds thread_local scratch (block-tree
+//     arenas, solver and kernel buffers).
 //
-// Scheduling is a single atomic ticket counter over [0, n): dynamic load
-// balancing without work stealing or per-task queues. Which thread runs a
-// job is nondeterministic; what the job computes is not.
+// Several regions can be live at once: top-level calls from different
+// threads, and the compute regions that the tasks of a coordinator region
+// (for_each_task: a study's cells) open concurrently. Each region is a
+// single atomic ticket counter over [0, n): dynamic load balancing without
+// work stealing or per-task queues. An idle worker takes tickets from any
+// live compute region, oldest first; a thread waiting for its own region's
+// stragglers runs tickets of other live compute regions meanwhile. Which
+// thread runs a job is nondeterministic; what the job computes is not.
 
 #ifndef ETHSM_SUPPORT_THREAD_POOL_H
 #define ETHSM_SUPPORT_THREAD_POOL_H
@@ -21,7 +28,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -30,6 +36,10 @@
 #include <vector>
 
 namespace ethsm::support {
+
+namespace metrics {
+class Scope;
+}  // namespace metrics
 
 class ThreadPool {
  public:
@@ -49,10 +59,20 @@ class ThreadPool {
   /// The first exception thrown by any job is rethrown on the caller after
   /// the region drains. Reentrant calls (from inside a pool job) and pools
   /// with concurrency 1 execute serially inline. Concurrent top-level calls
-  /// from different threads are safe: every region completes correctly, but
-  /// the workers only assist the most recently published one (earlier
-  /// regions drain on their callers alone).
+  /// from different threads are safe, and the workers assist every one of
+  /// them.
   void for_each_index(std::size_t n, const std::function<void(std::size_t)>& fn);
+
+  /// Runs task(i) exactly once for every i in [0, n) as a *coordinator*
+  /// region: tasks that open compute regions of their own (a study's cells).
+  /// A task is not a pool job, so the regions it opens go to the pool. The
+  /// caller runs tasks one after another, and the region is published
+  /// without waking any worker: a worker takes a task only when it is awake
+  /// for compute and finds no compute ticket left. Tasks that open no
+  /// compute (a resumed study) therefore all run on the caller, in index
+  /// order. Errors, inline cases and blocking are as in for_each_index.
+  void for_each_task(std::size_t n,
+                     const std::function<void(std::size_t)>& task);
 
   /// Concurrency the global pool is created with: the ETHSM_THREADS
   /// environment variable when set to a positive integer, otherwise
@@ -69,32 +89,51 @@ class ThreadPool {
 
  private:
   /// One parallel region's state, heap-owned and shared between the caller
-  /// and every worker that saw it. A worker descheduled with a stale Region
-  /// snapshot finds its ticket counter exhausted and exits without touching
-  /// any later region's accounting -- the shared_ptr keeps the job callable
-  /// alive until the last such straggler lets go.
+  /// and every thread that claimed from it. A thread holding a stale
+  /// pointer finds the ticket counter exhausted and claims nothing -- the
+  /// shared_ptr keeps the job callable alive until the last one lets go.
   struct Region {
     std::function<void(std::size_t)> fn;
     std::size_t size = 0;
+    bool coordinator = false;  ///< for_each_task: tasks, not compute jobs
+    metrics::Scope* scope = nullptr;  ///< the opener's, installed per job
     std::atomic<std::size_t> next_index{0};
     std::size_t remaining = 0;  ///< jobs not yet finished (under pool mutex_)
     std::exception_ptr first_error;  ///< under pool mutex_
+
+    [[nodiscard]] bool has_tickets() const noexcept {
+      return next_index.load(std::memory_order_relaxed) < size;
+    }
+    /// Tickets a thread drains per claim: all of a compute region's, one
+    /// coordinator task at a time (then it looks for compute again).
+    [[nodiscard]] std::size_t claim_size() const noexcept {
+      return coordinator ? 1 : static_cast<std::size_t>(-1);
+    }
   };
 
   void worker_loop();
-  void run_region(std::size_t n, const std::function<void(std::size_t)>& fn);
-  /// Claims and runs tickets of `region` on the current thread; returns the
-  /// number of jobs it completed.
-  std::size_t drain(Region& region);
+  /// Both public entry points: inline when n <= 1, on one-thread pools and
+  /// inside a pool job; otherwise a published region.
+  void run_region(std::size_t n, const std::function<void(std::size_t)>& fn,
+                  bool coordinator);
+  /// The oldest live region of the given kind with unclaimed tickets, or
+  /// nullptr. Caller holds mutex_.
+  [[nodiscard]] std::shared_ptr<Region> claimable_locked(
+      bool coordinator) const;
+  /// Claims and runs up to `max_jobs` tickets of `region` on the current
+  /// thread; returns the number of jobs it completed. Call without mutex_.
+  std::size_t drain(Region& region, std::size_t max_jobs);
+  /// Books `completed` jobs of `region` as finished. Caller holds mutex_.
+  void retire_locked(Region& region, std::size_t completed);
 
   unsigned concurrency_;
   std::vector<std::thread> workers_;
 
   std::mutex mutex_;
-  std::condition_variable work_cv_;   ///< signals a new region or shutdown
-  std::condition_variable done_cv_;   ///< signals region completion
-  std::shared_ptr<Region> region_;    ///< latest published region (under mutex_)
-  std::uint64_t epoch_ = 0;           ///< bumped per region
+  /// Signals a compute region published, a region finished, or shutdown.
+  std::condition_variable cv_;
+  /// Published, unfinished regions, oldest first (under mutex_).
+  std::vector<std::shared_ptr<Region>> live_;
   bool stop_ = false;
 };
 

@@ -22,6 +22,8 @@
 #include "api/presets.h"
 #include "api/render.h"
 #include "support/checkpoint.h"
+#include "support/metrics.h"
+#include "support/thread_pool.h"
 
 namespace ethsm::api {
 namespace {
@@ -425,6 +427,121 @@ TEST_F(StudyRunTest, UnshardedManifestCarriesNoCellShardFields) {
   EXPECT_EQ(os.str().find("cell_shard"), std::string::npos);
   EXPECT_EQ(os.str().find("cell_owner"), std::string::npos);
   EXPECT_EQ(os.str().find("skipped"), std::string::npos);
+}
+
+// ------------------------------------------------------ concurrent cells --
+
+/// Runs the study tests below on a pool of a given size, restoring the
+/// default global pool afterwards.
+class StudyConcurrencyTest : public StudyRunTest {
+ protected:
+  void TearDown() override {
+    support::ThreadPool::set_global_concurrency(
+        support::ThreadPool::default_concurrency());
+    StudyRunTest::TearDown();
+  }
+};
+
+TEST_F(StudyConcurrencyTest, ProgressSeesCellsInIndexOrder) {
+  // The first cell is the slowest (tightest tolerance), so concurrent cells
+  // finish out of order; progress must still arrive as 1..N.
+  support::ThreadPool::set_global_concurrency(4);
+  const auto entries = expand_study(
+      parse_study("study = order\n"
+                  "kind = threshold\n"
+                  "gammas = 0,0.5,1\n"
+                  "threshold_max_lead = 25\n"
+                  "variant.slow.tolerance = 1e-6\n"
+                  "variant.a.tolerance = 1e-2\n"
+                  "variant.b.tolerance = 2e-2\n"
+                  "variant.c.tolerance = 3e-2\n"
+                  "variant.d.tolerance = 4e-2\n"),
+      false);
+  ASSERT_EQ(entries.size(), 5u);
+  std::vector<std::size_t> indices;
+  std::vector<std::string> names;
+  const StudyResult study = run_study(
+      "order", "", entries, {},
+      [&](std::size_t index, std::size_t total, const StudyEntryResult& e) {
+        EXPECT_EQ(total, entries.size());
+        indices.push_back(index);
+        names.push_back(e.name);
+      });
+  ASSERT_TRUE(study.complete());
+  ASSERT_EQ(indices.size(), entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(indices[i], i + 1);
+    EXPECT_EQ(names[i], entries[i].name);
+  }
+}
+
+TEST_F(StudyConcurrencyTest, PerCellCountersMatchTheSerialRun) {
+  // Concurrent cells share the pool, yet each cell's solver counts come from
+  // its own attribution scope: a fresh quick paper study reports exactly the
+  // single-thread numbers for every cell.
+  const auto entries = paper_study_entries(/*quick=*/true);
+  auto run_at = [&](unsigned threads) {
+    support::ThreadPool::set_global_concurrency(threads);
+    return run_study("paper", "", entries, {});
+  };
+  const StudyResult serial = run_at(1);
+  const StudyResult concurrent = run_at(4);
+  ASSERT_EQ(serial.entries.size(), concurrent.entries.size());
+  std::uint64_t solves = 0;
+  for (std::size_t i = 0; i < serial.entries.size(); ++i) {
+    const StudyEntryTiming& a = serial.entries[i].timing;
+    const StudyEntryTiming& b = concurrent.entries[i].timing;
+    const std::string& name = serial.entries[i].name;
+    EXPECT_EQ(a.solver_solves, b.solver_solves) << name;
+    EXPECT_EQ(a.solver_iterations, b.solver_iterations) << name;
+    EXPECT_EQ(a.solver_fallbacks, b.solver_fallbacks) << name;
+    EXPECT_EQ(a.jobs_computed, b.jobs_computed) << name;
+    solves += a.solver_solves;
+  }
+  if constexpr (support::metrics::kEnabled) EXPECT_GT(solves, 0u);
+}
+
+TEST_F(StudyConcurrencyTest, SharedSweepHasOneWriterAcrossConcurrentCells) {
+  // Two cells with one spec share every sweep. Run concurrently, one cell
+  // computes and the other loads: the store holds each record once.
+  const auto entries = expand_study(
+      parse_study("study = twice\n"
+                  "kind = threshold\n"
+                  "gammas = 0,0.25,0.5,0.75,1\n"
+                  "tolerance = 1e-3\n"
+                  "threshold_max_lead = 25\n"
+                  "variant.first.rewards = byzantium\n"
+                  "variant.second.rewards = byzantium\n"),
+      false);
+  ASSERT_EQ(entries.size(), 2u);
+  ASSERT_EQ(sweep_fingerprints(entries[0].spec),
+            sweep_fingerprints(entries[1].spec));
+  const std::size_t jobs = 5;
+
+  auto run_at = [&](unsigned threads, const std::string& tag) {
+    support::ThreadPool::set_global_concurrency(threads);
+    RunOptions options;
+    options.checkpoint.directory = (root_ / ("ck" + tag)).string();
+    const StudyResult study = run_study("twice", "", entries, options);
+    write_study_results(study, (root_ / ("out" + tag)).string());
+    return study;
+  };
+  const StudyResult concurrent = run_at(4, "4");
+  ASSERT_TRUE(concurrent.complete());
+  EXPECT_EQ(concurrent.outcome.jobs_total, 2 * jobs);
+  EXPECT_EQ(concurrent.outcome.computed, jobs);
+  EXPECT_EQ(concurrent.outcome.loaded, jobs);
+
+  const auto files =
+      support::scan_checkpoint_directory((root_ / "ck4").string());
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].records, jobs);
+  const auto records = support::read_checkpoint_records(
+      (root_ / "ck4").string(), files[0].fingerprint);
+  EXPECT_EQ(records.size(), jobs);
+
+  ASSERT_TRUE(run_at(1, "1").complete());
+  EXPECT_EQ(snapshot(root_ / "out4"), snapshot(root_ / "out1"));
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "api/render.h"
 #include "api/runner.h"
 #include "api/spec.h"
+#include "support/thread_pool.h"
 #include "support/trace.h"
 
 namespace ethsm::support::metrics {
@@ -52,6 +53,32 @@ TEST(MetricsCounterTest, ConcurrentIncrementsAreExact) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(c.value(), kThreads * kPerThread);
+}
+
+TEST(MetricsScopeTest, PoolJobsCountIntoTheOpenersScope) {
+  // Per-cell attribution: add_scoped lands in the innermost installed scope,
+  // and a pool region carries its opener's scope into every job, whichever
+  // thread runs it.
+  Counter counter;
+  Scope outer;
+  Scope inner;
+  {
+    const Scope::Install install(&outer);
+    counter.add_scoped(2);
+    {
+      const Scope::Install nested(&inner);
+      counter.add_scoped(3);
+    }
+    ThreadPool pool(4);
+    pool.for_each_index(64, [&](std::size_t) { counter.add_scoped(); });
+  }
+  EXPECT_EQ(Scope::current(), nullptr);
+  counter.add_scoped(100);  // no scope installed: the counter alone
+  EXPECT_EQ(outer.value(counter), 66u);
+  EXPECT_EQ(inner.value(counter), 3u);
+  EXPECT_EQ(counter.value(), 169u);
+  Counter other;
+  EXPECT_EQ(outer.value(other), 0u);
 }
 
 TEST(MetricsGaugeTest, SetAddSub) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "support/thread_pool.h"
@@ -109,6 +113,120 @@ TEST_F(ParallelTest, ReductionIsIdenticalAcrossThreadCounts) {
   const double serial = reduce(1);
   EXPECT_EQ(serial, reduce(3));
   EXPECT_EQ(serial, reduce(8));
+}
+
+/// Records which threads ran a region's jobs. wait_for_helper() blocks a job
+/// until a second thread has entered the region (bounded, so a region that
+/// never gets help fails the test instead of hanging it).
+class RegionThreads {
+ public:
+  void enter() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ids_.insert(std::this_thread::get_id());
+  }
+  void wait_for_helper() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (distinct() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  std::size_t distinct() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ids_.size();
+  }
+  bool saw_other_than(std::thread::id a, std::thread::id b) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const std::thread::id id : ids_) {
+      if (id != a && id != b) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::set<std::thread::id> ids_;
+};
+
+TEST(ThreadPool, TopLevelRegionsFromTwoThreadsBothGetWorkerHelp) {
+  // Each job waits until a second thread has joined its region, so a region
+  // left to its caller alone would time out with one distinct thread.
+  ThreadPool pool(4);
+  RegionThreads seen[2];
+  std::thread::id callers[2];
+  auto open_region = [&](int r) {
+    callers[r] = std::this_thread::get_id();
+    pool.for_each_index(8, [&, r](std::size_t) {
+      seen[r].enter();
+      seen[r].wait_for_helper();
+    });
+  };
+  std::thread first(open_region, 0);
+  std::thread second(open_region, 1);
+  first.join();
+  second.join();
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_GE(seen[r].distinct(), 2u) << "region " << r;
+    EXPECT_TRUE(seen[r].saw_other_than(callers[0], callers[1]))
+        << "no pool worker ran a job of region " << r;
+  }
+}
+
+TEST(ThreadPool, CoordinatorTasksOpenComputeRegionsAndRethrowAfterDraining) {
+  ThreadPool pool(4);
+  constexpr std::size_t kTasks = 6;
+  constexpr std::size_t kJobs = 16;
+  std::vector<std::vector<std::size_t>> results(kTasks);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      pool.for_each_task(kTasks,
+                         [&](std::size_t t) {
+                           results[t].assign(kJobs, 0);
+                           pool.for_each_index(kJobs, [&](std::size_t i) {
+                             std::this_thread::sleep_for(
+                                 std::chrono::microseconds(200));
+                             results[t][i] = t * 100 + i;
+                           });
+                           if (t == 2) {
+                             throw std::runtime_error("task 2 failed");
+                           }
+                           finished.fetch_add(1);
+                         }),
+      std::runtime_error);
+  // The error surfaced only after every sibling finished, results intact.
+  EXPECT_EQ(finished.load(), static_cast<int>(kTasks) - 1);
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    ASSERT_EQ(results[t].size(), kJobs) << "task " << t;
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      EXPECT_EQ(results[t][i], t * 100 + i) << "task " << t << " job " << i;
+    }
+  }
+  // The pool stays usable.
+  std::atomic<int> ok{0};
+  pool.for_each_index(16, [&](std::size_t) { ok.fetch_add(1); });
+  EXPECT_EQ(ok.load(), 16);
+}
+
+TEST(ThreadPool, CoordinatorTasksWithoutComputeRunOnTheCallerInOrder) {
+  // The resume property: a coordinator region never wakes a worker by
+  // itself, so tasks that open no compute region (or only inline ones) all
+  // run on the calling thread, one after another in index order.
+  ThreadPool pool(4);
+  constexpr std::size_t kTasks = 24;
+  std::vector<std::thread::id> ran_on(kTasks);
+  std::vector<std::size_t> order;
+  pool.for_each_task(kTasks, [&](std::size_t t) {
+    ran_on[t] = std::this_thread::get_id();
+    order.push_back(t);
+    pool.for_each_index(1, [](std::size_t) {});  // n == 1 runs inline
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  });
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    EXPECT_EQ(ran_on[t], std::this_thread::get_id()) << "task " << t;
+  }
+  std::vector<std::size_t> expected(kTasks);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPool, HonoursExplicitConcurrency) {
