@@ -52,10 +52,11 @@ struct AttackTimeline {
 };
 
 /// Computes the timeline for (alpha, gamma) under a reward schedule and the
-/// difficulty scenario that governs phase 2.
+/// difficulty scenario that governs phase 2. Both scenarios price the same
+/// chain, so a run's `chains` memo solves it once for the pair.
 [[nodiscard]] AttackTimeline compute_attack_timeline(
     const markov::MiningParams& params, const rewards::RewardConfig& config,
-    Scenario scenario, int max_lead = 80);
+    Scenario scenario, int max_lead = 80, ChainMemo* chains = nullptr);
 
 }  // namespace ethsm::analysis
 

@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "analysis/chain_memo.h"
 #include "analysis/reward_cases.h"
 #include "markov/stationary.h"
 #include "rewards/reward_schedule.h"
@@ -64,7 +65,8 @@ struct RevenueBreakdown {
 /// across the sequence) and the last stationary solution, which warm-starts
 /// the next solve; power iteration then needs a handful of sweeps instead of
 /// starting over from the point mass at (0,0). Not thread-safe: use one cache
-/// per thread/search.
+/// per thread/search. Warm-started vectors never enter a ChainMemo: their
+/// last bits depend on the search path, not only on the chain.
 struct RevenueCache {
   std::unique_ptr<markov::StateSpace> space;
   int max_lead = -1;
@@ -80,6 +82,13 @@ struct RevenueCache {
 [[nodiscard]] RevenueBreakdown compute_revenue(
     const markov::MiningParams& params, const rewards::RewardConfig& config,
     int max_lead = 80, RevenueCache* cache = nullptr);
+
+/// The cold compute_revenue(params, config, max_lead), with the stationary
+/// solve shared through `chains`: schedules priced over the same chain in
+/// one run solve it once.
+[[nodiscard]] RevenueBreakdown compute_revenue(
+    const markov::MiningParams& params, const rewards::RewardConfig& config,
+    int max_lead, ChainMemo& chains);
 
 /// Truncation advisor. The private-branch length survives like a critical
 /// birth-death excursion whose tail decays as (2 sqrt(alpha*beta))^n; gamma

@@ -123,7 +123,10 @@ std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
 
         const markov::MiningParams params{alpha, options.gamma};
         const RevenueBreakdown r =
-            compute_revenue(params, options.rewards, options.max_lead);
+            options.chains != nullptr
+                ? compute_revenue(params, options.rewards, options.max_lead,
+                                  *options.chains)
+                : compute_revenue(params, options.rewards, options.max_lead);
         point.pool_revenue = pool_absolute_revenue(r, options.scenario);
         point.honest_revenue = honest_absolute_revenue(r, options.scenario);
         point.total_revenue = total_revenue(r, options.scenario);

@@ -43,6 +43,10 @@ struct RevenueCurveOptions {
   /// directory is empty. The Markov and simulation layers checkpoint under
   /// separate fingerprints in the same directory.
   support::SweepCheckpoint checkpoint;
+  /// The run's memo of cold stationary solves (analysis/chain_memo.h): curves
+  /// of several schedules over one grid then solve each chain once. Null
+  /// solves every point afresh.
+  ChainMemo* chains = nullptr;
 };
 
 /// Revenue curves Us(alpha), Uh(alpha), total(alpha) (Fig. 8 / Fig. 9).

@@ -1,5 +1,6 @@
 #include "analysis/uncle_distance.h"
 
+#include "analysis/chain_memo.h"
 #include "markov/transition_model.h"
 #include "rewards/reward_schedule.h"
 #include "support/check.h"
@@ -53,10 +54,12 @@ UncleDistanceDistribution honest_uncle_distance_distribution(
 
 UncleDistanceDistribution honest_uncle_distance_distribution(
     const markov::MiningParams& params, int max_lead) {
-  const markov::StateSpace space(max_lead);
-  const markov::TransitionModel model(space, params);
-  const auto pi = markov::solve_stationary(model);
-  return honest_uncle_distance_distribution(pi, model);
+  return reduce_cold_chain(
+      params, max_lead, nullptr,
+      [](const markov::StationaryDistribution& pi,
+         const markov::TransitionModel& model) {
+        return honest_uncle_distance_distribution(pi, model);
+      });
 }
 
 }  // namespace ethsm::analysis

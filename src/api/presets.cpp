@@ -10,9 +10,9 @@ namespace ethsm::api {
 
 namespace {
 
-// Every preset reproduces its legacy bench regenerator's options exactly --
-// the preset-vs-driver equivalence tests assert the resulting series
-// bitwise-match calling the drivers the way the old bench mains did.
+// Every paper preset pins the options its figure or table was published
+// with -- tests/api/preset_equivalence_test asserts the resulting series
+// bitwise-match calling the analysis and simulation drivers directly.
 
 ExperimentSpec fig8_spec(bool quick) {
   ExperimentSpec spec;

@@ -7,6 +7,7 @@
 
 #include "analysis/absolute_revenue.h"
 #include "analysis/attack_timeline.h"
+#include "analysis/chain_memo.h"
 #include "analysis/sweep.h"
 #include "analysis/uncle_distance.h"
 #include "net/net_sim.h"
@@ -181,6 +182,10 @@ class Plan {
   [[nodiscard]] const std::vector<support::SweepKey>& keys() const noexcept {
     return keys_;
   }
+  /// The run's memo of cold stationary solves: jobs that price one chain
+  /// under several schedules or scenarios share its solve. Lives exactly as
+  /// long as the run.
+  [[nodiscard]] analysis::ChainMemo& chains() noexcept { return chains_; }
 
  private:
   void settle(const support::SweepOutcome& swept, std::size_t jobs) {
@@ -195,6 +200,7 @@ class Plan {
   support::SweepCheckpoint checkpoint_;
   support::SweepOutcome outcome_;
   std::vector<support::SweepKey> keys_;
+  analysis::ChainMemo chains_;
 };
 
 void plan_revenue(const ExperimentSpec& spec, Plan& plan,
@@ -205,6 +211,7 @@ void plan_revenue(const ExperimentSpec& spec, Plan& plan,
   curves.reserve(series.size());
   for (const SeriesSpec& s : series) {
     analysis::RevenueCurveOptions opt = revenue_options(spec, s);
+    opt.chains = &plan.chains();
     curves.push_back(plan.driver(
         analysis::revenue_curve_sweeps(opt),
         [&](const auto& checkpoint, auto* outcome) {
@@ -592,7 +599,7 @@ void plan_timeline(const ExperimentSpec& spec, Plan& plan,
       fp.digest(), 2 * alphas.size(), [&](std::size_t j) {
         return analysis::compute_attack_timeline(
             {alphas[j / 2], spec.gamma}, config, kScenarios[j % 2],
-            spec.max_lead);
+            spec.max_lead, &plan.chains());
       });
   if (!plan.complete()) return;
 
@@ -657,7 +664,8 @@ void plan_retarget(const ExperimentSpec& spec, Plan& plan,
   const auto statics = plan.sweep<analysis::RevenueBreakdown>(
       static_fp.digest(), 1, [&](std::size_t) {
         return analysis::compute_revenue({spec.alpha, spec.gamma},
-                                         rewards_config, spec.max_lead);
+                                         rewards_config, spec.max_lead,
+                                         plan.chains());
       });
   if (!plan.complete()) return;
 
@@ -795,7 +803,7 @@ void plan_net(const ExperimentSpec& spec, Plan& plan,
         const double gamma = j % 2 == 0 ? summaries[i].gamma.mean()
                                         : spec.gamma;
         return analysis::compute_revenue({alphas[i], gamma}, rewards_config,
-                                         spec.max_lead);
+                                         spec.max_lead, plan.chains());
       },
       plan.complete());
   if (!plan.complete()) return;

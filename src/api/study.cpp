@@ -389,6 +389,8 @@ StudyResult run_study(std::string name, std::string title,
           scope.value(reg.counter("ethsm_solver_iterations_total"));
       entry_result.timing.solver_fallbacks =
           scope.value(reg.counter("ethsm_solver_fallbacks_total"));
+      entry_result.timing.solver_reuses =
+          scope.value(reg.counter("ethsm_solver_reuses_total"));
     }
 
     const std::lock_guard<std::mutex> lock(progress_mutex);
@@ -531,6 +533,7 @@ void write_study_results(const StudyResult& study,
                << ", \"solver_solves\": " << entry.timing.solver_solves
                << ", \"solver_iterations\": " << entry.timing.solver_iterations
                << ", \"solver_fallbacks\": " << entry.timing.solver_fallbacks
+               << ", \"solver_reuses\": " << entry.timing.solver_reuses
                << "}";
     }
     if (!study.cell_shard.is_whole_sweep()) {

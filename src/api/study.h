@@ -123,6 +123,8 @@ struct StudyEntryTiming {
   std::uint64_t solver_solves = 0;     ///< stationary solves (cell scope)
   std::uint64_t solver_iterations = 0; ///< stationary sweeps (cell scope)
   std::uint64_t solver_fallbacks = 0;  ///< gs -> power fallbacks taken
+  std::uint64_t solver_reuses = 0;     ///< cold solves served by the run's
+                                       ///< chain memo instead of solving
 };
 
 /// run(spec) over every entry with shared checkpointing and roll-up.

@@ -1,6 +1,6 @@
-// Fixed-width ASCII table rendering for the experiment regenerators.
-// Every bench binary prints the paper's tables/figure series through this so
-// the output format stays uniform and diffable across runs.
+// Fixed-width ASCII table rendering for experiment output. `ethsm run`'s
+// text renderer and the examples print the paper's tables/figure series
+// through this so the output format stays uniform and diffable across runs.
 
 #ifndef ETHSM_SUPPORT_TABLE_H
 #define ETHSM_SUPPORT_TABLE_H
