@@ -18,9 +18,7 @@ AttackTimeline compute_attack_timeline(const markov::MiningParams& params,
                                        const rewards::RewardConfig& config,
                                        Scenario scenario, int max_lead,
                                        ChainMemo* chains) {
-  const RevenueBreakdown r =
-      chains != nullptr ? compute_revenue(params, config, max_lead, *chains)
-                        : compute_revenue(params, config, max_lead);
+  const RevenueBreakdown r = compute_revenue(params, config, max_lead, chains);
 
   AttackTimeline timeline;
   // Phase 1: total block production still runs at rate 1 (stale difficulty),

@@ -3,17 +3,17 @@
 // The stationary distribution of the 2-D chain depends only on (alpha,
 // gamma) and the truncation depth; the uncle and nephew schedules enter only
 // the reward integration that follows it (Sec. IV-E, Appendix B). So the
-// experiments that price one chain under several schedules -- Fig. 9's five
-// series, the timeline's two difficulty scenarios -- need one solve per
-// chain, not one per schedule. A ChainMemo gives them that: the first request
-// for a key solves, every later one copies the stored vector.
+// experiments that price one chain more than once -- Fig. 9's five series,
+// the timeline's two difficulty scenarios, the threshold bisections of both
+// scenarios and of Sec. VI's schedules, which probe the same alphas until
+// their paths split -- need one solve per chain, not one per evaluation. A
+// ChainMemo gives them that: the first request for a key solves, every later
+// one copies the stored vector.
 //
 // Keys are the exact bits of (alpha, gamma, max_lead), the only inputs of a
 // cold solve_stationary, which is a pure function of them: a memoized result
 // is bitwise-identical to a fresh solve, so artefacts do not depend on
-// whether, or in which order, jobs hit the memo. Warm-started solves (the
-// threshold bisection's RevenueCache) end on bits that depend on the search
-// path and never go through here.
+// whether, or in which order, jobs hit the memo.
 //
 // Scope: one memo per api::run (its Plan owns it), freed when the run
 // returns. There is deliberately no process-wide instance.

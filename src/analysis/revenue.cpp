@@ -67,18 +67,6 @@ markov::State representative_state(markov::TransitionKind kind) {
   return {0, 0};
 }
 
-/// Both cold overloads: a fresh solve, or the run's memoized one.
-RevenueBreakdown cold_revenue(const markov::MiningParams& params,
-                              const rewards::RewardConfig& config,
-                              int max_lead, ChainMemo* chains) {
-  return reduce_cold_chain(
-      params, max_lead, chains,
-      [&](const markov::StationaryDistribution& pi,
-          const markov::TransitionModel& model) {
-        return compute_revenue(pi, model, config);
-      });
-}
-
 }  // namespace
 
 RevenueBreakdown compute_revenue(const markov::StationaryDistribution& pi,
@@ -150,26 +138,13 @@ RevenueBreakdown compute_revenue(const markov::StationaryDistribution& pi,
 
 RevenueBreakdown compute_revenue(const markov::MiningParams& params,
                                  const rewards::RewardConfig& config,
-                                 int max_lead, RevenueCache* cache) {
-  if (cache == nullptr) return cold_revenue(params, config, max_lead, nullptr);
-
-  if (!cache->space || cache->max_lead != max_lead) {
-    cache->space = std::make_unique<markov::StateSpace>(max_lead);
-    cache->max_lead = max_lead;
-    cache->last_pi.clear();
-  }
-  const markov::TransitionModel model(*cache->space, params);
-  markov::StationaryOptions options;
-  if (!cache->last_pi.empty()) options.initial = &cache->last_pi;
-  const auto pi = markov::solve_stationary(model, options);
-  cache->last_pi = pi.values();
-  return compute_revenue(pi, model, config);
-}
-
-RevenueBreakdown compute_revenue(const markov::MiningParams& params,
-                                 const rewards::RewardConfig& config,
-                                 int max_lead, ChainMemo& chains) {
-  return cold_revenue(params, config, max_lead, &chains);
+                                 int max_lead, ChainMemo* chains) {
+  return reduce_cold_chain(
+      params, max_lead, chains,
+      [&](const markov::StationaryDistribution& pi,
+          const markov::TransitionModel& model) {
+        return compute_revenue(pi, model, config);
+      });
 }
 
 int recommended_max_lead(const markov::MiningParams& params) {

@@ -9,7 +9,6 @@
 #ifndef ETHSM_ANALYSIS_REVENUE_H
 #define ETHSM_ANALYSIS_REVENUE_H
 
-#include <memory>
 #include <vector>
 
 #include "analysis/chain_memo.h"
@@ -59,36 +58,16 @@ struct RevenueBreakdown {
     const markov::StationaryDistribution& pi,
     const markov::TransitionModel& model, const rewards::RewardConfig& config);
 
-/// Reusable solver state for sequences of nearby models (the profitability
-/// bisection evaluates compute_revenue at a dozen alphas that differ by
-/// <= 1e-6 near convergence). Holds the truncated state space (identical
-/// across the sequence) and the last stationary solution, which warm-starts
-/// the next solve; power iteration then needs a handful of sweeps instead of
-/// starting over from the point mass at (0,0). Not thread-safe: use one cache
-/// per thread/search. Warm-started vectors never enter a ChainMemo: their
-/// last bits depend on the search path, not only on the chain.
-struct RevenueCache {
-  std::unique_ptr<markov::StateSpace> space;
-  int max_lead = -1;
-  std::vector<double> last_pi;
-};
-
 /// Convenience: build space/model/stationary for (alpha, gamma) and compute.
 /// `max_lead` is the truncation (the paper's footnote 3 uses 200). For
 /// gamma >= 0.25 the stationary tail is negligible far below 80; see
 /// recommended_max_lead for the small-gamma / large-alpha corner.
-/// `cache`, when given, carries the state space and stationary warm start
-/// from one evaluation to the next.
+/// `chains`, when given, is the run's memo of cold solves: every evaluation
+/// of one chain in a run -- schedules, scenarios, bisection steps -- shares a
+/// single solve. Null solves afresh; the result is bitwise the same.
 [[nodiscard]] RevenueBreakdown compute_revenue(
     const markov::MiningParams& params, const rewards::RewardConfig& config,
-    int max_lead = 80, RevenueCache* cache = nullptr);
-
-/// The cold compute_revenue(params, config, max_lead), with the stationary
-/// solve shared through `chains`: schedules priced over the same chain in
-/// one run solve it once.
-[[nodiscard]] RevenueBreakdown compute_revenue(
-    const markov::MiningParams& params, const rewards::RewardConfig& config,
-    int max_lead, ChainMemo& chains);
+    int max_lead = 80, ChainMemo* chains = nullptr);
 
 /// Truncation advisor. The private-branch length survives like a critical
 /// birth-death excursion whose tail decays as (2 sqrt(alpha*beta))^n; gamma

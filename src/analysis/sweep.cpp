@@ -122,11 +122,8 @@ std::vector<RevenuePoint> revenue_curve(const RevenueCurveOptions& options,
         point.alpha = alpha;
 
         const markov::MiningParams params{alpha, options.gamma};
-        const RevenueBreakdown r =
-            options.chains != nullptr
-                ? compute_revenue(params, options.rewards, options.max_lead,
-                                  *options.chains)
-                : compute_revenue(params, options.rewards, options.max_lead);
+        const RevenueBreakdown r = compute_revenue(
+            params, options.rewards, options.max_lead, options.chains);
         point.pool_revenue = pool_absolute_revenue(r, options.scenario);
         point.honest_revenue = honest_absolute_revenue(r, options.scenario);
         point.total_revenue = total_revenue(r, options.scenario);
@@ -214,7 +211,7 @@ std::vector<ThresholdPoint> threshold_curve(const ThresholdCurveOptions& options
       options.gammas.empty() ? fig10_gamma_grid() : options.gammas;
 
   // One job per gamma; each runs two bisections (both difficulty scenarios)
-  // that share nothing across gammas.
+  // that share their common steps through options.threshold.chains.
   const auto sweep = support::run_checkpointed<ThresholdPoint>(
       options.checkpoint, threshold_curve_sweep(options).fingerprint,
       gammas.size(),

@@ -22,14 +22,10 @@ std::optional<double> profitability_threshold(double gamma,
 ThresholdReport profitability_threshold_report(
     double gamma, const rewards::RewardConfig& config, Scenario scenario,
     const ThresholdOptions& options) {
-  // One cache for the whole search: the bisection re-solves nearly identical
-  // chains (adjacent alphas), so each step's stationary solve warm-starts
-  // from the previous one and the state space is built once.
-  RevenueCache cache;
   auto profitable = [&](double alpha) {
     const markov::MiningParams params{alpha, gamma};
     const RevenueBreakdown r =
-        compute_revenue(params, config, options.max_lead, &cache);
+        compute_revenue(params, config, options.max_lead, options.chains);
     return pool_absolute_revenue(r, scenario) - alpha >= 0.0;
   };
   const support::FirstTrueReport found =

@@ -22,6 +22,12 @@ struct ThresholdOptions {
   double alpha_max = 0.4999;
   double tolerance = 1e-6;
   int max_lead = 60;  ///< Markov truncation while searching
+  /// The run's memo of cold stationary solves (analysis/chain_memo.h):
+  /// searches that probe the same alphas -- both scenarios of one gamma, the
+  /// schedules of one gamma until their bisection paths split -- solve each
+  /// chain once. Null solves every step afresh; the threshold is bitwise the
+  /// same either way, so this is not part of any sweep fingerprint.
+  ChainMemo* chains = nullptr;
 };
 
 /// Smallest alpha making selfish mining profitable for the given gamma,

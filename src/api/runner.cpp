@@ -306,6 +306,7 @@ void plan_threshold(const ExperimentSpec& spec, Plan& plan,
   opt.rewards = parse_reward_spec(spec.rewards);
   opt.gammas = spec.gammas;
   opt.threshold = threshold_search_options(spec);
+  opt.threshold.chains = &plan.chains();
   const auto curve = plan.driver(
       {analysis::threshold_curve_sweep(opt)},
       [&](const auto& checkpoint, auto* outcome) {
@@ -353,7 +354,8 @@ void plan_reward_design(const ExperimentSpec& spec, Plan& plan,
                     {"Ku = 4/8 flat (proposal)", "flat:0.5", "selfish"}});
   const auto kus = or_default(
       spec.ku_values, {0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875});
-  const auto opt = threshold_search_options(spec);
+  auto opt = threshold_search_options(spec);
+  opt.chains = &plan.chains();
   // The headline schedules, then the flat Ku sweep.
   std::vector<rewards::RewardConfig> configs;
   for (const SeriesSpec& s : series) {
@@ -665,7 +667,7 @@ void plan_retarget(const ExperimentSpec& spec, Plan& plan,
       static_fp.digest(), 1, [&](std::size_t) {
         return analysis::compute_revenue({spec.alpha, spec.gamma},
                                          rewards_config, spec.max_lead,
-                                         plan.chains());
+                                         &plan.chains());
       });
   if (!plan.complete()) return;
 
@@ -803,7 +805,7 @@ void plan_net(const ExperimentSpec& spec, Plan& plan,
         const double gamma = j % 2 == 0 ? summaries[i].gamma.mean()
                                         : spec.gamma;
         return analysis::compute_revenue({alphas[i], gamma}, rewards_config,
-                                         spec.max_lead, plan.chains());
+                                         spec.max_lead, &plan.chains());
       },
       plan.complete());
   if (!plan.complete()) return;

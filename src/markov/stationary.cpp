@@ -62,34 +62,17 @@ double StationaryDistribution::balance_residual(
 
 namespace {
 
-/// Starting vector: the (renormalised) warm start when one is supplied and
-/// sized correctly, otherwise a method-appropriate cold start. Power
-/// iteration keeps its historical point mass at (0,0); Gauss-Seidel needs
-/// support everywhere -- sweeping the point mass updates state 0 first,
-/// before any inflow exists, and annihilates the vector -- so it cold-starts
-/// from the uniform distribution. The fixed point does not depend on the
-/// choice.
-std::vector<double> initial_vector(std::size_t n,
-                                   const StationaryOptions& options,
-                                   SolveMethod method) {
-  std::vector<double> pi;
-  if (options.initial != nullptr && options.initial->size() == n) {
-    // Warm start (e.g. the previous bisection step's solution). Renormalise
-    // defensively; the fixed point does not depend on the starting vector.
-    pi = *options.initial;
-    double mass = 0.0;
-    for (double p : pi) mass += p;
-    if (mass > 0.0) {
-      for (double& p : pi) p /= mass;
-      return pi;
-    }
-  }
+/// Cold starting vector for `method`. Power iteration keeps its historical
+/// point mass at (0,0); Gauss-Seidel needs support everywhere -- sweeping the
+/// point mass updates state 0 first, before any inflow exists, and
+/// annihilates the vector -- so it starts from the uniform distribution. The
+/// fixed point does not depend on the choice.
+std::vector<double> initial_vector(std::size_t n, SolveMethod method) {
   if (method == SolveMethod::gauss_seidel) {
-    pi.assign(n, 1.0 / static_cast<double>(n));
-  } else {
-    pi.assign(n, 0.0);
-    pi[0] = 1.0;  // start at (0,0); any distribution works
+    return std::vector<double>(n, 1.0 / static_cast<double>(n));
   }
+  std::vector<double> pi(n, 0.0);
+  pi[0] = 1.0;  // start at (0,0); any distribution works
   return pi;
 }
 
@@ -158,11 +141,10 @@ void gauss_seidel_sweep(const TransitionModel::Incoming& in,
 ///
 /// Convergence bookkeeping (copy, mass scan, normalise, L1 diff) costs about
 /// as much as the sweep itself, so it runs on a doubling schedule -- after
-/// sweeps 1, 3, 7, then every 8 -- instead of every sweep. A warm start at
-/// the fixed point still exits after a single sweep; a cold start overshoots
-/// convergence by at most 7 sweeps, which is noise against the hundreds it
-/// needs. Between checkpoints the vector is unnormalised; the fixed point is
-/// scale-invariant and a handful of sweeps cannot overflow.
+/// sweeps 1, 3, 7, then every 8 -- instead of every sweep. A solve
+/// overshoots convergence by at most 7 sweeps, which is noise against the
+/// hundreds it needs. Between checkpoints the vector is unnormalised; the
+/// fixed point is scale-invariant and a handful of sweeps cannot overflow.
 double gauss_seidel_iterate(const TransitionModel& model,
                             std::vector<double>& pi, double tolerance,
                             int sweep_limit, int& iter, bool& stalled) {
@@ -251,7 +233,7 @@ StationaryDistribution solve_stationary(const TransitionModel& model,
   if (method == SolveMethod::automatic) {
     method = degenerate_diagonal ? SolveMethod::power : SolveMethod::gauss_seidel;
   }
-  std::vector<double> pi = initial_vector(n, options, method);
+  std::vector<double> pi = initial_vector(n, method);
 
   int iter = 0;
   double diff = 1.0;

@@ -16,8 +16,8 @@
 //     failure, or when Gauss-Seidel exhausts half the iteration budget) and
 //     as the reference the differential suite (ctest -L kernel) pins
 //     Gauss-Seidel against.
-// Both support warm starts; the chain regenerates at (0,0) frequently, so
-// convergence is fast for all alpha < 0.5 either way.
+// Both start cold; the chain regenerates at (0,0) frequently, so convergence
+// is fast for all alpha < 0.5 either way.
 
 #ifndef ETHSM_MARKOV_STATIONARY_H
 #define ETHSM_MARKOV_STATIONARY_H
@@ -38,12 +38,6 @@ enum class SolveMethod {
 struct StationaryOptions {
   double tolerance = 1e-14;  ///< L1 change per sweep at which to stop
   int max_iterations = 200'000;
-  /// Optional warm start: when it matches the space size, the solver begins
-  /// from this (renormalised) vector instead of the point mass at (0,0). The
-  /// fixed point is unchanged; only the iteration count drops. Used by the
-  /// profitability-threshold bisection, whose successive alphas produce
-  /// nearly identical chains (analysis/threshold.cpp, via RevenueCache).
-  const std::vector<double>* initial = nullptr;
   /// Solver selection; `automatic` runs Gauss-Seidel on half the iteration
   /// budget and falls back to warm-started power iteration if the sweeps
   /// fail numerically or exhaust that budget; chains with a degenerate

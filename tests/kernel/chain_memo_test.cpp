@@ -1,6 +1,6 @@
 // Chain-memo contracts (ctest -L kernel): a memoized cold solve is bitwise
-// the fresh one, whatever schedule prices it afterwards, and concurrent
-// requests for one chain solve it exactly once.
+// the fresh one, whatever schedule or threshold search prices it afterwards,
+// and concurrent requests for one chain solve it exactly once.
 
 #include "analysis/chain_memo.h"
 
@@ -8,10 +8,12 @@
 
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "analysis/revenue.h"
 #include "analysis/sweep.h"
+#include "analysis/threshold.h"
 #include "api/presets.h"
 #include "support/metrics.h"
 #include "support/thread_pool.h"
@@ -49,7 +51,7 @@ TEST(KernelChainMemo, Fig9SchedulesAreBitwiseTheColdPath) {
     const rewards::RewardConfig config = api::parse_reward_spec(series.rewards);
     for (double alpha : alphas) {
       const markov::MiningParams params{alpha, spec.gamma};
-      EXPECT_EQ(bits_of(compute_revenue(params, config, spec.max_lead, memo)),
+      EXPECT_EQ(bits_of(compute_revenue(params, config, spec.max_lead, &memo)),
                 bits_of(compute_revenue(params, config, spec.max_lead)))
           << series.label << " alpha=" << alpha;
     }
@@ -61,6 +63,37 @@ TEST(KernelChainMemo, Fig9SchedulesAreBitwiseTheColdPath) {
               alphas.size() + points);
     EXPECT_EQ(scope.value(solver_counter("ethsm_solver_reuses_total")),
               points - alphas.size());
+  }
+}
+
+std::optional<std::uint64_t> bits_of(const std::optional<double>& x) {
+  if (!x) return std::nullopt;
+  return std::bit_cast<std::uint64_t>(*x);
+}
+
+TEST(KernelChainMemo, ThresholdsThroughOneMemoAreBitwiseTheColdSearch) {
+  // Both scenarios at every gamma of the fig10 quick grid share one memo, so
+  // later searches are priced from chains an earlier one solved; each still
+  // lands on the memo-less search's threshold to the last bit.
+  const api::ExperimentSpec spec = api::preset_spec("fig10", true);
+  ASSERT_FALSE(spec.gammas.empty());
+  const rewards::RewardConfig config = api::parse_reward_spec(spec.rewards);
+  ThresholdOptions cold;
+  cold.alpha_min = spec.alpha_min;
+  cold.alpha_max = spec.alpha_max;
+  cold.tolerance = spec.tolerance;
+  cold.max_lead = spec.threshold_max_lead;
+  ChainMemo memo;
+  ThresholdOptions shared = cold;
+  shared.chains = &memo;
+  for (double gamma : spec.gammas) {
+    for (Scenario scenario :
+         {Scenario::regular_rate_one, Scenario::regular_and_uncle_rate_one}) {
+      EXPECT_EQ(
+          bits_of(profitability_threshold(gamma, config, scenario, shared)),
+          bits_of(profitability_threshold(gamma, config, scenario, cold)))
+          << "gamma=" << gamma << " scenario=" << static_cast<int>(scenario);
+    }
   }
 }
 
